@@ -18,16 +18,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalog import KodairaCurve
-from .charge import (
-    CentralCharge,
-    Component,
-    check_charge_dimension,
-    membership,
-)
+from .charge import CentralCharge, Component, membership
 from .errors import (
     CornerOnPath,
     DegenerateCharge,
-    DimensionMismatch,
     EndpointOnWall,
     IndexOutOfRange,
     NotGeneral,
@@ -35,7 +29,7 @@ from .errors import (
     StepLimitExceeded,
 )
 from .exact import QC, format_rational, nearest_int_half_down
-from .kgroup import KClass, line_bundle_class
+from .kgroup import KClass, check_dimension, line_bundle_class
 from .twist import TwistGenerator, TwistWord, dual_reflect_charge
 
 
@@ -58,7 +52,7 @@ class NormalizedCharge:
 
 def normalize(curve: KodairaCurve, zc: CentralCharge) -> NormalizedCharge:
     """Multiply all values by -1/z0; requires z0 != 0."""
-    check_charge_dimension(curve, zc)
+    check_dimension(curve, zc.z, "charge")
     if not zc.z0:
         raise DegenerateCharge("point value is zero, cannot normalize")
     factor = QC(-1) / zc.z0
@@ -95,10 +89,7 @@ def in_fundamental_chamber(
     part selects; an integral real part there is a corner and raises
     NotGeneral.
     """
-    if len(zn.z) != curve.n:
-        raise DimensionMismatch(
-            f"charge has {len(zn.z)} component values, curve {curve.id.label} has {curve.n}"
-        )
+    check_dimension(curve, zn.z, "charge")
     if all(v.im > 0 for v in zn.z):
         return ChamberVerdict(Position.INSIDE)
     if not closed or any(v.im < 0 for v in zn.z):
@@ -228,10 +219,7 @@ def wall_crossings_on_segment(
     crossings at integral real part (corners) are rejected.
     """
     for zn in (za, zb):
-        if len(zn.z) != curve.n:
-            raise DimensionMismatch(
-                f"charge has {len(zn.z)} component values, curve {curve.id.label} has {curve.n}"
-            )
+        check_dimension(curve, zn.z, "charge")
     events = []
     for idx in range(curve.n):
         a, b = za.z[idx], zb.z[idx]

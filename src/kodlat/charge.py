@@ -10,6 +10,7 @@ z_i = i, detected by the sign of the span determinant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,14 +19,13 @@ from typing import Optional
 from .catalog import KodairaCurve
 from .errors import (
     DegenerateRadical,
-    DimensionMismatch,
     NotInP0,
     ParseError,
     VanishingRoot,
 )
 from .exact import QC, format_rational
-from .kgroup import KClass, radical_basis
-from .ratlinalg import closest_lattice_point, nullspace, psd_pivots, solve2
+from .kgroup import KClass, check_dimension, radical_basis
+from .ratlinalg import closest_lattice_point, lagrange_reduce, nullspace, psd_pivots
 from .roots import fundamental_roots
 
 
@@ -55,20 +55,10 @@ def reference_charge(curve: KodairaCurve) -> CentralCharge:
     return CentralCharge(QC(-1), tuple(QC(0, 1) for _ in range(curve.n)))
 
 
-def check_charge_dimension(curve: KodairaCurve, zc: CentralCharge) -> None:
-    if len(zc.z) != curve.n:
-        raise DimensionMismatch(
-            f"charge has {len(zc.z)} component values, curve {curve.id.label} has {curve.n}"
-        )
-
-
 def evaluate(curve: KodairaCurve, zc: CentralCharge, v: KClass) -> QC:
     """Z(v) = chi(v) z0 + sum_i ranks_i(v) z_i."""
-    check_charge_dimension(curve, zc)
-    if len(v.ranks) != curve.n:
-        raise DimensionMismatch(
-            f"class has {len(v.ranks)} ranks, curve {curve.id.label} has {curve.n} components"
-        )
+    check_dimension(curve, zc.z, "charge")
+    check_dimension(curve, v.ranks)
     total = zc.z0.scale(v.chi)
     for r, zi in zip(v.ranks, zc.z):
         if r:
@@ -93,7 +83,7 @@ def orientation_det(curve: KodairaCurve, zc: CentralCharge) -> Fraction:
 
 def radical_independence(curve: KodairaCurve, zc: CentralCharge) -> bool:
     """True when z0 and Z(cycle) are linearly independent over the reals."""
-    check_charge_dimension(curve, zc)
+    check_dimension(curve, zc.z, "charge")
     return orientation_det(curve, zc) != 0
 
 
@@ -106,28 +96,61 @@ def _canonical_root_sign(delta: KClass) -> KClass:
     return delta
 
 
+def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
+    """(M^2, witness): least squared modulus of Z over all roots, in one pass.
+
+    Every root is c ox + w0 + m cycle with w0 fundamental, so its values are
+    the translates of Z(w0) by the rank-2 lattice spanned by z0 and
+    Z(cycle), and per fundamental root the minimum is one closest-vector
+    problem in the plane.  Denominators are cleared once, so the scan runs
+    on integers scaled by their lcm D, and the lattice basis is reduced once.
+    Fundamental roots go in lexicographic order, a strictly smaller distance
+    replaces the witness, and a distance of 0 (a vanishing root) stops it.
+    """
+    check_dimension(curve, zc.z, "charge")
+    values = (zc.z0,) + zc.z
+    den = math.lcm(*(x.denominator for val in values for x in (val.re, val.im)))
+    z0, *zs = [(int(val.re * den), int(val.im * den)) for val in values]
+
+    def scaled_value(ranks: tuple[int, ...]) -> tuple[int, int]:
+        re = im = 0
+        for r, (x, y) in zip(ranks, zs):
+            if r:
+                re += r * x
+                im += r * y
+        return re, im
+
+    rad = radical_basis(curve)
+    zrho = scaled_value(rad.cycle.ranks)
+    if z0[0] * zrho[1] - zrho[0] * z0[1] == 0:
+        raise DegenerateRadical("radical values do not span the plane")
+    u, v, umat = lagrange_reduce(z0, zrho)
+    best: Optional[int] = None
+    witness: Optional[KClass] = None
+    for w0 in fundamental_roots(curve):
+        re, im = scaled_value(w0.ranks)
+        dist, (x, y) = closest_lattice_point(u, v, (-re, -im))
+        if best is None or dist < best:
+            best = dist
+            # back to (z0, Z(cycle)) coordinates: reduced rows are umat times those
+            c = x * umat[0][0] + y * umat[1][0]
+            m = x * umat[0][1] + y * umat[1][1]
+            witness = rad.skyscraper.scale(c) + w0 + rad.cycle.scale(m)
+            if best == 0:
+                break
+    assert best is not None and witness is not None
+    return Fraction(best, den * den), witness
+
+
 def vanishing_root(curve: KodairaCurve, zc: CentralCharge) -> Optional[KClass]:
     """A root delta with Z(delta) = 0, or None.
 
-    For each fundamental root w0 the equation c z0 + m Z(cycle) = -Z(w0) has
-    a unique rational solution (c, m); a root vanishes iff some solution is
-    integral.  Fundamental roots are tried in lexicographic order and the
-    witness is sign-normalized (first nonzero rank positive), which makes the
-    result deterministic.
+    The witness comes from the first fundamental root, in lexicographic
+    order, whose translates reach 0, and is sign-normalized (first nonzero
+    rank positive), which makes the result deterministic.
     """
-    check_charge_dimension(curve, zc)
-    det = orientation_det(curve, zc)
-    if det == 0:
-        raise DegenerateRadical("radical values do not span the plane")
-    zrho = cycle_value(curve, zc)
-    rad = radical_basis(curve)
-    for w0 in fundamental_roots(curve):
-        target = -evaluate(curve, zc, w0)
-        c, m = solve2(zc.z0.re, zrho.re, zc.z0.im, zrho.im, target.re, target.im)
-        if c.denominator == 1 and m.denominator == 1:
-            delta = rad.skyscraper.scale(int(c)) + w0 + rad.cycle.scale(int(m))
-            return _canonical_root_sign(delta)
-    return None
+    msq, witness = _root_scan(curve, zc)
+    return _canonical_root_sign(witness) if msq == 0 else None
 
 
 def min_root_modulus_witness(
@@ -135,33 +158,14 @@ def min_root_modulus_witness(
 ) -> tuple[Fraction, KClass]:
     """(M^2, argmin): least squared modulus of Z over all roots, exactly.
 
-    Z(c ox + w0 + m cycle) ranges over the translates of Z(w0) by the rank-2
-    lattice spanned by z0 and Z(cycle); per fundamental root this is one
-    exact closest-vector problem in the plane.
+    Raises VanishingRoot when some root is sent to zero.
     """
-    check_charge_dimension(curve, zc)
-    if orientation_det(curve, zc) == 0:
-        raise DegenerateRadical("radical values do not span the plane")
-    zrho = cycle_value(curve, zc)
-    rad = radical_basis(curve)
-    b1 = [zc.z0.re, zc.z0.im]
-    b2 = [zrho.re, zrho.im]
-    best: Optional[Fraction] = None
-    witness: Optional[KClass] = None
-    for w0 in fundamental_roots(curve):
-        val = evaluate(curve, zc, w0)
-        dist, (c, m) = closest_lattice_point(b1, b2, [-val.re, -val.im])
-        if best is None or dist < best:
-            best = dist
-            witness = rad.skyscraper.scale(c) + w0 + rad.cycle.scale(m)
-            if best == 0:
-                break
-    assert best is not None and witness is not None
-    if best == 0:
+    msq, witness = _root_scan(curve, zc)
+    if msq == 0:
         raise VanishingRoot(
             f"charge vanishes on the root {witness.to_dict()}"
         )
-    return best, witness
+    return msq, witness
 
 
 def min_root_modulus(curve: KodairaCurve, zc: CentralCharge) -> Fraction:
@@ -203,14 +207,15 @@ class MembershipReport:
 
 def membership(curve: KodairaCurve, zc: CentralCharge) -> MembershipReport:
     """Assemble the validity report; never raises on a well-formed charge."""
-    check_charge_dimension(curve, zc)
+    check_dimension(curve, zc.z, "charge")
     det = orientation_det(curve, zc)
     if det == 0:
         return MembershipReport(False, False, None, Component.NOT_IN_P0, None)
-    witness = vanishing_root(curve, zc)
-    if witness is not None:
-        return MembershipReport(False, True, witness, Component.NOT_IN_P0, None)
-    msq = min_root_modulus(curve, zc)
+    msq, witness = _root_scan(curve, zc)
+    if msq == 0:
+        return MembershipReport(
+            False, True, _canonical_root_sign(witness), Component.NOT_IN_P0, None
+        )
     component = Component.PLUS if det < 0 else Component.MINUS
     return MembershipReport(True, True, None, component, msq)
 
@@ -285,7 +290,7 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
 
 def is_stability_function(curve: KodairaCurve, zc: CentralCharge) -> bool:
     """True iff z0 = -1 and every z_i lies in the open upper half plane."""
-    check_charge_dimension(curve, zc)
+    check_dimension(curve, zc.z, "charge")
     if zc.z0 != QC(-1):
         return False
     return all(v.im > 0 for v in zc.z)

@@ -10,6 +10,7 @@ errors, 1 otherwise).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,22 +28,36 @@ from .chamber import (
 )
 from .charge import CentralCharge, membership
 from .errors import KodlatError, ParseError
-from .exact import QC
+from .exact import QC, RATIONAL_TEXT
 from .kgroup import KClass, pair
 from .roots import enumerate_roots_in_box, fundamental_roots
 from .twist import TwistWord, apply_word
 
 
+class _HelpShown(Exception):
+    """--help has printed its JSON document; the run ends with status 0."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that accepts values like "-1,0" and raises instead of exiting."""
+    """argparse that accepts values like "-1,0", raises instead of exiting,
+    and prints --help as the JSON document {"help": text}."""
 
     def __init__(self, *args, **kwargs):
+        # a fixed width, so the help text does not depend on the terminal
+        kwargs["formatter_class"] = functools.partial(argparse.HelpFormatter, width=78)
         super().__init__(*args, **kwargs)
         # tokens such as -1,0 or -1/3,2 after a flag are values, not options
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
 
     def error(self, message):
         raise ParseError(message)
+
+    def print_help(self, file=None):
+        print(json.dumps({"help": self.format_help()}, sort_keys=True), file=file)
+
+    def exit(self, status=0, message=None):
+        # reached only from the --help action, since error() raises
+        raise _HelpShown()
 
 
 def _build_parser() -> _Parser:
@@ -114,7 +129,7 @@ def _parse_class_json(text: str) -> KClass:
     try:
         data = json.loads(text)
         return KClass.from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"bad class JSON: {text!r}") from exc
 
 
@@ -135,16 +150,13 @@ def _read_batch(path: str) -> list[CentralCharge]:
     return charges
 
 
-_RATIONAL_TEXT = re.compile(r"^-?\d+(/\d+)?$")
-
-
 def _approximate(obj):
     """Mirror of a JSON payload with rational strings rendered as floats."""
     if isinstance(obj, dict):
         return {key: _approximate(value) for key, value in obj.items()}
     if isinstance(obj, list):
         return [_approximate(item) for item in obj]
-    if isinstance(obj, str) and _RATIONAL_TEXT.match(obj):
+    if isinstance(obj, str) and RATIONAL_TEXT.match(obj):
         return float(Fraction(obj))
     return obj
 
@@ -226,6 +238,8 @@ def main(argv=None) -> int:
         if getattr(args, "approx", False):
             payload = {"exact": payload, "approx": _approximate(payload)}
         print(json.dumps(payload, sort_keys=True, ensure_ascii=True))
+        return 0
+    except _HelpShown:
         return 0
     except ParseError as exc:
         print(json.dumps({"code": exc.code, "message": str(exc)}, sort_keys=True))

@@ -1,12 +1,14 @@
 """Exact complex rationals.
 
-All decision paths in the library run on ``fractions.Fraction``; a complex
-value is a pair of fractions.  No floating point anywhere in here.
+All decision paths in the library are exact: ``fractions.Fraction``, or
+integers where the root scan has cleared denominators.  A complex value is
+a pair of fractions.  No floating point anywhere in here.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -16,16 +18,26 @@ from .errors import ParseError
 Rat = Union[int, Fraction]
 
 
+# the rational grammar "p/q" or "p", shared by parsing and the CLI's rendering
+RATIONAL_TEXT = re.compile(r"^-?\d+(/\d+)?$")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction.
+    """Parse "p/q" or "p", surrounding spaces allowed, into a Fraction.
+
+    Other forms that ``Fraction`` itself reads (decimals, exponents, digit
+    separators, a plus sign) raise ParseError, as does a zero denominator.
 
     >>> parse_rational("-1/3")
     Fraction(-1, 3)
     """
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
+    stripped = text.strip()
+    if RATIONAL_TEXT.match(stripped):
+        try:
+            return Fraction(stripped)
+        except ZeroDivisionError:
+            pass
+    raise ParseError(f"not a rational: {text!r}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -76,9 +88,6 @@ class QC:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Squared modulus, exact."""
         return self.re * self.re + self.im * self.im
@@ -88,9 +97,6 @@ class QC:
         if d == 0:
             raise ZeroDivisionError("inverse of zero")
         return QC(self.re / d, -self.im / d)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def scale(self, c: Rat) -> "QC":
         return QC(self.re * c, self.im * c)
@@ -111,9 +117,3 @@ class QC:
         if len(parts) != 2:
             raise ParseError(f"complex value must be re,im - got {text!r}")
         return cls(parse_rational(parts[0]), parse_rational(parts[1]))
-
-
-ZERO = QC(0, 0)
-ONE = QC(1, 0)
-I = QC(0, 1)
-MINUS_ONE = QC(-1, 0)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import Family, KodairaCurve
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange, ParseError
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,41 @@ class KClass:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KClass":
-        return cls(int(data["chi"]), tuple(int(r) for r in data["ranks"]))
+        """Read {"chi": int, "ranks": [int, ...]}; anything but integers
+        (floats, booleans, strings) raises ParseError rather than being
+        coerced."""
+        chi, ranks = data["chi"], data["ranks"]
+        if not (_is_int(chi) and isinstance(ranks, (list, tuple)) and all(map(_is_int, ranks))):
+            raise ParseError(f"class entries must be integers: {data!r}")
+        return cls(chi, tuple(ranks))
 
-    @classmethod
-    def zero(cls, n: int) -> "KClass":
-        return cls(0, (0,) * n)
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def check_dimension(curve: KodairaCurve, v: KClass) -> None:
-    if len(v.ranks) != curve.n:
+_DIMENSION_MESSAGES = {
+    "class": "class has {got} ranks, curve {label} has {n} components",
+    "charge": "charge has {got} component values, curve {label} has {n}",
+}
+
+
+def check_dimension(curve: KodairaCurve, entries, kind: str = "class") -> None:
+    """Raise DimensionMismatch unless ``entries`` has one item per component.
+
+    ``kind`` is "class" for the ranks of a class and "charge" for the
+    component values of a (normalized) charge; it picks the message.
+    """
+    if len(entries) != curve.n:
         raise DimensionMismatch(
-            f"class has {len(v.ranks)} ranks, curve {curve.id.label} has {curve.n} components"
+            _DIMENSION_MESSAGES[kind].format(got=len(entries), label=curve.id.label, n=curve.n)
         )
 
 
 def pair(curve: KodairaCurve, v: KClass, w: KClass) -> int:
     """Euler pairing <v, w> = ranks(v)^T gram ranks(w); chi is immaterial."""
-    check_dimension(curve, v)
-    check_dimension(curve, w)
+    check_dimension(curve, v.ranks)
+    check_dimension(curve, w.ranks)
     total = 0
     for i, ri in enumerate(v.ranks):
         if ri:
@@ -70,7 +87,7 @@ def pair(curve: KodairaCurve, v: KClass, w: KClass) -> int:
 
 def gram_apply(curve: KodairaCurve, v: KClass) -> tuple[int, ...]:
     """The vector gram . ranks(v); entry i is <v, e_i> for component i."""
-    check_dimension(curve, v)
+    check_dimension(curve, v.ranks)
     return tuple(
         sum(curve.gram[i][j] * v.ranks[j] for j in range(curve.n)) for i in range(curve.n)
     )
@@ -117,7 +134,7 @@ def line_bundle_class(curve: KodairaCurve, i: int, k: int) -> KClass:
 def is_effective(curve: KodairaCurve, v: KClass) -> bool:
     """True for classes of nonzero sheaves: positive ranks, or a point-like
     class with zero ranks and positive chi."""
-    check_dimension(curve, v)
+    check_dimension(curve, v.ranks)
     if any(r < 0 for r in v.ranks):
         return False
     if any(v.ranks):

@@ -1,19 +1,20 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers.
 
-Everything here works on lists of lists of Fractions and is used for
-certificates (LDL^T pivots), kernel bases, and the two-dimensional lattice
-reduction behind the closest-vector search.  Matrices never exceed a few
-dozen entries, so clarity beats asymptotics.
+The certificates (LDL^T pivots) and kernel bases work on lists of lists of
+Fractions; matrices never exceed a few dozen entries, so clarity beats
+asymptotics.  The two-dimensional lattice reduction and closest-vector
+search behind the root scan work on plain integer pairs: callers clear
+denominators first.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+IVec = tuple[int, int]
 
 
 def _as_mat(a: Sequence[Sequence]) -> Mat:
@@ -58,25 +59,6 @@ def psd_pivots(a: Sequence[Sequence]) -> Vec:
     return ldlt_psd(a)[1]
 
 
-def is_negative_definite(a: Sequence[Sequence]) -> bool:
-    """True iff -a is positive definite (all LDL^T pivots > 0)."""
-    try:
-        d = psd_pivots([[-x for x in row] for row in a])
-    except ValueError:
-        return False
-    return all(p > 0 for p in d)
-
-
-def solve2(
-    a11: Fraction, a12: Fraction, a21: Fraction, a22: Fraction, b1: Fraction, b2: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Solve a 2x2 rational system by Cramer's rule; det must be nonzero."""
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        raise ZeroDivisionError("singular 2x2 system")
-    return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det
-
-
 def nullspace(a: Sequence[Sequence]) -> list[Vec]:
     """Basis of the right kernel of a rational matrix (RREF back-substitution)."""
     m = _as_mat(a)
@@ -111,63 +93,55 @@ def nullspace(a: Sequence[Sequence]) -> list[Vec]:
     return basis
 
 
-def _dot(u: Vec, v: Vec) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def lagrange_reduce(
-    b1: Vec, b2: Vec
-) -> tuple[Vec, Vec, list[list[int]]]:
-    """Gauss-Lagrange reduction of a rank-2 lattice basis in the plane.
+def lagrange_reduce(b1: IVec, b2: IVec) -> tuple[IVec, IVec, list[list[int]]]:
+    """Gauss-Lagrange reduction of a rank-2 integer lattice basis in the plane.
 
     Returns (c1, c2, U) with (c1, c2) = U (b1, b2) as rows, U unimodular,
     |c1| <= |c2| and |<c1,c2>| <= |c1|^2 / 2.
     """
-    u, v = list(b1), list(b2)
+    (ux, uy), (vx, vy) = b1, b2
     umat = [[1, 0], [0, 1]]
     while True:
-        if _dot(u, u) > _dot(v, v):
-            u, v = v, u
-            umat[0], umat[1] = umat[1], umat[0]
-        nu = _dot(u, u)
+        nu, nv = ux * ux + uy * uy, vx * vx + vy * vy
+        if nu > nv:
+            ux, uy, vx, vy = vx, vy, ux, uy
+            umat.reverse()
+            nu = nv
         if nu == 0:
             raise ZeroDivisionError("basis vector is zero: lattice not rank 2")
-        mu = math.floor(_dot(u, v) / nu + Fraction(1, 2))
+        # mu = floor(<u,v>/|u|^2 + 1/2), the nearest integer with ties up
+        mu = (2 * (ux * vx + uy * vy) + nu) // (2 * nu)
         if mu == 0:
             break
-        v = [x - mu * y for x, y in zip(v, u)]
+        vx, vy = vx - mu * ux, vy - mu * uy
         umat[1] = [x - mu * y for x, y in zip(umat[1], umat[0])]
-    return u, v, umat
+    return (ux, uy), (vx, vy), umat
 
 
-def closest_lattice_point(
-    b1: Vec, b2: Vec, target: Vec
-) -> tuple[Fraction, tuple[int, int]]:
-    """Exact closest-vector search in the lattice Z b1 + Z b2.
+def closest_lattice_point(u: IVec, v: IVec, target: IVec) -> tuple[int, tuple[int, int]]:
+    """Exact closest-vector search in the lattice Z u + Z v.
 
-    Returns (min squared distance, (x, y)) with x b1 + y b2 the minimizer in
-    the original basis coordinates.  Reduces the basis first; with a reduced
-    basis the minimizer's coefficients differ from the real least-squares
-    solution by less than 2 in each coordinate, so scanning a window of
-    integer offsets around it is exhaustive.
+    The basis must be Lagrange-reduced (see ``lagrange_reduce``).  Returns
+    (min squared distance, (x, y)) with x u + y v the minimizer, the least
+    (x, y) among ties.  With a reduced basis the minimizer's coefficients
+    differ from the real least-squares solution by less than 2 in each
+    coordinate, so scanning a window of integer offsets around it is
+    exhaustive.
     """
-    u, v, umat = lagrange_reduce(b1, b2)
-    guu, guv, gvv = _dot(u, u), _dot(u, v), _dot(v, v)
-    tu, tv = _dot(target, u), _dot(target, v)
-    x0, y0 = solve2(guu, guv, guv, gvv, tu, tv)
-    fx, fy = math.floor(x0), math.floor(y0)
-    best: Fraction | None = None
-    arg_reduced = (0, 0)
-    for dx in range(-2, 4):
-        for dy in range(-2, 4):
-            x, y = fx + dx, fy + dy
-            diff = [x * a + y * b - t for a, b, t in zip(u, v, target)]
-            dist = _dot(diff, diff)
-            if best is None or dist < best or (dist == best and (x, y) < arg_reduced):
-                best = dist
-                arg_reduced = (x, y)
+    (ux, uy), (vx, vy), (tx, ty) = u, v, target
+    guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
+    tu, tv = tx * ux + ty * uy, tx * vx + ty * vy
+    det = guu * gvv - guv * guv  # positive for independent u, v
+    fx = (tu * gvv - tv * guv) // det
+    fy = (guu * tv - guv * tu) // det
+    best: int | None = None
+    arg = (0, 0)
+    # (x, y) runs in increasing order, so a strict improvement keeps the least
+    for x in range(fx - 2, fx + 4):
+        for y in range(fy - 2, fy + 4):
+            dx, dy = x * ux + y * vx - tx, x * uy + y * vy - ty
+            dist = dx * dx + dy * dy
+            if best is None or dist < best:
+                best, arg = dist, (x, y)
     assert best is not None
-    x, y = arg_reduced
-    # back to the original basis: reduced rows are umat times original rows
-    arg = (x * umat[0][0] + y * umat[1][0], x * umat[0][1] + y * umat[1][1])
     return best, arg

@@ -13,13 +13,11 @@ here by reflection closure from the unit classes of the non-affine nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import KodairaCurve
 from .errors import NotARoot
 from .kgroup import KClass, check_dimension, pair, radical_basis
-from .ratlinalg import ldlt_psd
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ def fundamental_roots(curve: KodairaCurve) -> tuple[KClass, ...]:
 
 def decompose_root(curve: KodairaCurve, delta: KClass) -> RootDecomposition:
     """Split a root along the radical; raises NotARoot when <delta,delta> != -2."""
-    check_dimension(curve, delta)
+    check_dimension(curve, delta.ranks)
     if pair(curve, delta, delta) != -2:
         raise NotARoot(f"<v,v> = {pair(curve, delta, delta)}, expected -2")
     rad = radical_basis(curve)
@@ -85,46 +83,18 @@ def compose_root(curve: KodairaCurve, dec: RootDecomposition) -> KClass:
     )
 
 
-@lru_cache(maxsize=None)
-def _box_pruning_data(curve: KodairaCurve):
-    # LDL^T of the negated Gram matrix: -gram = L diag(d) L^T with d >= 0.
-    # For a rank vector w set y = L^T w; then -<w,w> = sum d_j y_j^2, so a
-    # partial sum over the already assigned coordinates exceeding 2 prunes.
-    neg = [[Fraction(-x) for x in row] for row in curve.gram]
-    lmat, d = ldlt_psd(neg)
-    return lmat, d
-
-
 def enumerate_roots_in_box(curve: KodairaCurve, bound: int) -> tuple[KClass, ...]:
     """All chi = 0 roots with every |rank| <= bound, lexicographically sorted.
 
-    Exhaustive depth-first scan of the box; the LDL^T of the negated Gram
-    matrix gives nonnegative pivot terms whose partial sums bound the final
-    value, so branches that already exceed 2 are cut without loss.
+    A chi = 0 root is w0 + m * cycle with w0 fundamental, and its coordinate
+    at the affine node is m, so the box holds exactly the translates with
+    |m| <= bound that pass the rank filter.
     """
-    if bound < 0:
-        return ()
-    n = curve.n
-    lmat, d = _box_pruning_data(curve)
-    two = Fraction(2)
-    out: list[tuple[int, ...]] = []
-    w = [0] * n
-
-    def descend(k: int, partial: Fraction) -> None:
-        # coordinates w[k+1:] are assigned; assign w[k] next
-        if k < 0:
-            if partial == two and any(w):
-                out.append(tuple(w))
-            return
-        tail = sum((lmat[j][k] * w[j] for j in range(k + 1, n)), Fraction(0))
-        dk = d[k]
-        for wk in range(-bound, bound + 1):
-            yk = wk + tail
-            acc = partial + dk * yk * yk
-            if acc <= two:
-                w[k] = wk
-                descend(k - 1, acc)
-        w[k] = 0
-
-    descend(n - 1, Fraction(0))
+    cycle = radical_basis(curve).cycle.ranks
+    out = []
+    for w0 in fundamental_roots(curve):
+        for m in range(-bound, bound + 1):
+            ranks = tuple(r + m * c for r, c in zip(w0.ranks, cycle))
+            if all(abs(r) <= bound for r in ranks):
+                out.append(ranks)
     return tuple(KClass(0, v) for v in sorted(out))

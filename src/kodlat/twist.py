@@ -14,7 +14,7 @@ import re as _re
 from dataclasses import dataclass, field
 
 from .catalog import KodairaCurve
-from .charge import CentralCharge, check_charge_dimension
+from .charge import CentralCharge
 from .errors import IndexOutOfRange, ParseError
 from .exact import QC
 from .kgroup import KClass, check_dimension, gram_apply, line_bundle_class
@@ -77,7 +77,7 @@ def _check_index(curve: KodairaCurve, i: int) -> None:
 def reflect_class(curve: KodairaCurve, i: int, k: int, v: KClass) -> KClass:
     """s(v) = v + <v, delta> delta for delta = [O_i(k)]."""
     _check_index(curve, i)
-    check_dimension(curve, v)
+    check_dimension(curve, v.ranks)
     delta = line_bundle_class(curve, i, k)
     coeff = gram_apply(curve, v)[i - 1]  # <v, delta> depends on ranks only
     return v + delta.scale(coeff)
@@ -90,7 +90,7 @@ def dual_reflect_charge(
     gram[j][i] ((k+1) z0 + z_i), which for normalized z0 = -1 is the familiar
     z_j + gram[j][i] (z_i - (k+1))."""
     _check_index(curve, i)
-    check_charge_dimension(curve, zc)
+    check_dimension(curve, zc.z, "charge")
     zdelta = zc.z0.scale(k + 1) + zc.z[i - 1]
     new_z = tuple(
         zj + zdelta.scale(curve.gram[j][i - 1]) for j, zj in enumerate(zc.z)

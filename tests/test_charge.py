@@ -148,6 +148,20 @@ class TestMinRootModulus:
         assert evaluate(I2, charge("-1,0", "1/3,-1", "0,2"), delta).abs2() == msq
         assert pair(I2, delta, delta) == -2
 
+    @pytest.mark.parametrize(
+        "zc,msq,witness",
+        [
+            # several roots tie within one closest-vector window
+            (charge("1,-2", "3,2", "-4,-3"), 1, KClass(0, (-4, -3))),
+            # both fundamental roots reach the minimum; the first one wins
+            (charge("-1,1", "-2,-3/2", "2,-3/2"), Fraction(1, 4), KClass(2, (0, 1))),
+        ],
+    )
+    def test_witness_tie_break_pinned(self, zc, msq, witness):
+        """On equal moduli the witness comes from the first fundamental root,
+        and within its window from the least reduced coordinates."""
+        assert min_root_modulus_witness(I2, zc) == (msq, witness)
+
     def test_vanishing_is_an_error(self):
         with pytest.raises(VanishingRoot):
             min_root_modulus(I2, charge("-1,0", "1,-1", "0,2"))

@@ -72,6 +72,14 @@ class TestPairVerb:
         )
         assert data == {"value": -2}
 
+    def test_non_integer_class_is_a_parse_error(self, capsys):
+        status, data = run_cli(
+            capsys, "pair", "--curve", "I_2",
+            "--v", '{"chi": 1.7, "ranks": [true, 0]}',
+            "--w", '{"chi": 0, "ranks": [0, 1]}',
+        )
+        assert status == 2 and data["code"] == "ParseError"
+
 
 class TestCheckVerb:
     def test_pinned_report(self, capsys):
@@ -230,9 +238,28 @@ class TestOutputContract:
         assert status == 2 and data["code"] == "ParseError"
         status, data = run_cli(capsys, "check", "--curve", "I_2")
         assert status == 2 and data["code"] == "ParseError"
+        status, data = run_cli(capsys, "check", "--curve", "I_2", "--z0", "-1,0", "--z", "0.5,1", "0,1")
+        assert status == 2 and data["code"] == "ParseError"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_is_one_json_document(self, argv):
+        proc = run_module("kodlat.cli", *argv)
+        assert proc.returncode == 0
+        assert proc.stdout.count(b"\n") == 1
+        data = json.loads(proc.stdout)
+        assert set(data) == {"help"} and data["help"].startswith("usage: kodlat")
+        assert run_module("kodlat.cli", *argv, COLUMNS="40").stdout == proc.stdout
 
 
 ROOTS_ARGV = ["roots", "--curve", "IIStar", "--count-only"]
+
+
+def _child_env():
+    """The environment with the imported `kodlat` first on PYTHONPATH."""
+    package_root = str(Path(kodlat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_entry_point(*argv):
@@ -242,12 +269,17 @@ def run_entry_point(*argv):
     with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["kodlat"]
     module, attr = target.split(":")
-    package_root = str(Path(kodlat.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, env=_child_env(), timeout=120
+    )
+
+
+def run_module(module, *argv, **env):
+    """Run `python -m module` against the imported `kodlat`, with extra env."""
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, env=dict(_child_env(), **env), timeout=120,
     )
 
 
@@ -270,3 +302,9 @@ class TestConsoleScript:
         )
         in_tree = run_entry_point(*ROOTS_ARGV)
         assert (installed.returncode, installed.stdout) == (in_tree.returncode, in_tree.stdout)
+
+    def test_python_m_kodlat_matches_cli_module(self):
+        package = run_module("kodlat", *ROOTS_ARGV)
+        cli = run_module("kodlat.cli", *ROOTS_ARGV)
+        assert package.returncode == cli.returncode == 0
+        assert package.stdout == cli.stdout == b'{"fundamental_count": 240}\n'

@@ -14,7 +14,6 @@ from kodlat.ratlinalg import (
     ldlt_psd,
     nullspace,
     psd_pivots,
-    solve2,
 )
 from oracles import brute_closest
 
@@ -31,6 +30,13 @@ class TestRationals:
             parse_rational("one")
         with pytest.raises(ParseError):
             parse_rational("1/0")
+        assert parse_rational(" -2/4 ") == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("text", ["1e2", "0.5", "1_0", "+1"])
+    def test_parse_rejects_forms_outside_grammar(self, text):
+        """Only -?digits(/digits)? is read; Fraction's other forms are errors."""
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
     def test_nearest_ties_round_down(self):
         assert nearest_int_half_down(Fraction(1, 2)) == 0
@@ -61,12 +67,6 @@ class TestQC:
 
 
 class TestLinalg:
-    def test_solve2(self):
-        x, y = solve2(
-            Fraction(-1), Fraction(1), Fraction(0), Fraction(1), Fraction(-1), Fraction(1)
-        )
-        assert (x, y) == (Fraction(2), Fraction(1))
-
     def test_ldlt_rejects_indefinite(self):
         with pytest.raises(ValueError):
             psd_pivots([[Fraction(-1)]])
@@ -97,23 +97,32 @@ class TestLinalg:
         st.integers(-20, 20), st.integers(-20, 20),
     )
     def test_closest_point_matches_brute_force(self, a, b, c, d, tx, ty):
-        """Exact CVP agrees with a coefficient box scan."""
-        b1 = [Fraction(a), Fraction(b)]
-        b2 = [Fraction(c), Fraction(d)]
+        """Exact CVP agrees with a coefficient box scan (targets t/7, scaled by 7)."""
+        b1, b2 = (7 * a, 7 * b), (7 * c, 7 * d)
         if a * d - b * c == 0:
             return
-        target = [Fraction(tx, 7), Fraction(ty, 7)]
-        dist, (x, y) = closest_lattice_point(b1, b2, target)
-        diff = [x * u + y * v - t for u, v, t in zip(b1, b2, target)]
+        target = (tx, ty)
+        u, v, umat = lagrange_reduce(b1, b2)
+        dist, (x, y) = closest_lattice_point(u, v, target)
+        diff = [x * p + y * q - t for p, q, t in zip(u, v, target)]
         assert sum(e * e for e in diff) == dist
+        # the same point in the original basis, through U
+        x0, y0 = x * umat[0][0] + y * umat[1][0], x * umat[0][1] + y * umat[1][1]
+        assert [x0 * p + y0 * q for p, q in zip(b1, b2)] == [t + e for t, e in zip(target, diff)]
         assert dist == brute_closest(b1, b2, target)
 
-    def test_lagrange_reduction_invariants(self):
-        b1 = [Fraction(7), Fraction(5)]
-        b2 = [Fraction(4), Fraction(3)]
+    @given(
+        st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+        st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    )
+    def test_lagrange_reduction_invariants(self, b1, b2):
+        if b1[0] * b2[1] - b1[1] * b2[0] == 0:
+            return
         u, v, umat = lagrange_reduce(b1, b2)
         nu = sum(x * x for x in u)
         nv = sum(x * x for x in v)
         uv = sum(x * y for x, y in zip(u, v))
         assert nu <= nv and 2 * abs(uv) <= nu
         assert umat[0][0] * umat[1][1] - umat[0][1] * umat[1][0] in (1, -1)
+        for row, c in zip(umat, (u, v)):
+            assert tuple(row[0] * p + row[1] * q for p, q in zip(b1, b2)) == c

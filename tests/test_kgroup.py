@@ -10,6 +10,7 @@ from kodlat import (
     DimensionMismatch,
     IndexOutOfRange,
     KClass,
+    ParseError,
     curve_from_label,
     is_effective,
     line_bundle_class,
@@ -27,6 +28,23 @@ def classes(curve):
         st.integers(-9, 9),
         st.tuples(*([st.integers(-9, 9)] * curve.n)),
     )
+
+
+class TestFromDict:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"chi": 1.7, "ranks": [1, 0]},
+            {"chi": True, "ranks": [1, 0]},
+            {"chi": 1, "ranks": "10"},
+            {"chi": 1, "ranks": [True, 0]},
+            {"chi": 1, "ranks": [1.0, 0]},
+        ],
+    )
+    def test_rejects_non_integers(self, data):
+        """Floats, booleans and strings are not coerced to integers."""
+        with pytest.raises(ParseError):
+            KClass.from_dict(data)
 
 
 class TestPairing:

@@ -63,10 +63,17 @@ class TestBoxEnumeration:
         assert len(enumerate_roots_in_box(i2, 2)) == 8
         assert enumerate_roots_in_box(curve_from_label("IV"), 0) == ()
 
-    @pytest.mark.parametrize("label", ["I_2", "I_3", "III", "IV", "IStar_0", "mI_2_3"])
-    @pytest.mark.parametrize("bound", [1, 2, 3])
-    def test_matches_naive_product_scan(self, label, bound):
-        """The pruned scan equals a dumb full scan on small instances."""
+    @pytest.mark.parametrize(
+        "bound,label",
+        [
+            (bound, label)
+            for bound in (1, 2, 3)
+            for label in ("I_2", "I_3", "III", "IV", "IStar_0", "mI_2_3")
+        ]
+        + [(2, "I_4"), (1, "IVStar")],
+    )
+    def test_matches_naive_product_scan(self, bound, label):
+        """The translate construction equals a dumb full scan on small instances."""
         curve = curve_from_label(label)
         got = {w.ranks for w in enumerate_roots_in_box(curve, bound)}
         assert got == naive_box_roots(curve, bound)
