@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCharge,
     EndpointOnWall,
     IndexOutOfRange,
+    InvalidParams,
     NotGeneral,
     NotPlusComponent,
     StepLimitExceeded,
@@ -155,7 +156,10 @@ def reduce_to_fundamental(
     closed chamber test is not outside.  The strictly positive level
     Im Z(cycle) is preserved by every step, which is what forces the walk to
     terminate; a step cap and exact-state cycle detection guard it anyway.
+    A negative cap raises InvalidParams before any work.
     """
+    if max_steps < 0:
+        raise InvalidParams(f"max_steps must be >= 0, got {max_steps}")
     report = membership(curve, zc)
     if report.component is not Component.PLUS:
         raise NotPlusComponent(f"charge component is {report.component.value}")

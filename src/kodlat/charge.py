@@ -227,6 +227,8 @@ class SupportForm:
     ``matrix`` is symmetric rational in the basis (point class, component
     unit classes); ``kernel_pivots`` are the positive LDL^T pivots of -Q
     restricted to the kernel of Z, certifying negative definiteness there.
+    Z vanishes on that kernel, so Q equals the Euler pairing there, and the
+    certificate is the Euler pairing restricted to ker Z.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -253,29 +255,22 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     report = membership(curve, zc)
     if not report.in_p0:
         raise NotInP0(f"charge is not valid: component {report.component.value}")
-    msq = report.min_modulus_sq
-    n = curve.n
-    dim = n + 1
-    # coordinates: (chi, ranks); Z coefficients per basis vector
-    zvals = [zc.z0] + list(zc.z)
-    re = [v.re for v in zvals]
-    im = [v.im for v in zvals]
-    scale = Fraction(2) / msq
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            g = Fraction(curve.gram[a - 1][b - 1]) if a >= 1 and b >= 1 else Fraction(0)
-            mat[a][b] = g + scale * (re[a] * re[b] + im[a] * im[b])
+    dim = curve.n + 1
+    # coordinates: (chi, ranks); the point class pairs trivially with everything
+    gram = [[0] * dim] + [[0, *row] for row in curve.gram]
+    re = [v.re for v in (zc.z0, *zc.z)]
+    im = [v.im for v in (zc.z0, *zc.z)]
+    scale = Fraction(2) / report.min_modulus_sq
+    mat = [
+        [gram[a][b] + scale * (re[a] * re[b] + im[a] * im[b]) for b in range(dim)]
+        for a in range(dim)
+    ]
     # kernel of Z: two real conditions on the coefficient vector
     kernel = nullspace([re, im])
     assert len(kernel) == dim - 2
-    restricted = [
-        [
-            sum(u[a] * mat[a][b] * v[b] for a in range(dim) for b in range(dim))
-            for v in kernel
-        ]
-        for u in kernel
-    ]
+    # Z vanishes on its kernel, so there Q is the Euler pairing alone
+    gk = [[sum(g * x for g, x in zip(row, v)) for row in gram] for v in kernel]
+    restricted = [[sum(x * y for x, y in zip(u, w)) for w in gk] for u in kernel]
     try:
         pivots = psd_pivots([[-x for x in row] for row in restricted])
     except ValueError as exc:  # pragma: no cover - impossible for valid charges

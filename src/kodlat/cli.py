@@ -137,7 +137,7 @@ def _read_batch(path: str) -> list[CentralCharge]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read batch file {path!r}: {exc}") from exc
     charges = []
     for lineno, line in enumerate(lines, 1):

@@ -26,7 +26,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p", surrounding spaces allowed, into a Fraction.
 
     Other forms that ``Fraction`` itself reads (decimals, exponents, digit
-    separators, a plus sign) raise ParseError, as does a zero denominator.
+    separators, a plus sign) raise ParseError, as do a zero denominator and
+    a numeral longer than the interpreter's integer conversion limit.
 
     >>> parse_rational("-1/3")
     Fraction(-1, 3)
@@ -35,7 +36,7 @@ def parse_rational(text: str) -> Fraction:
     if RATIONAL_TEXT.match(stripped):
         try:
             return Fraction(stripped)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):
             pass
     raise ParseError(f"not a rational: {text!r}")
 

@@ -37,9 +37,12 @@ class TwistGenerator:
     @classmethod
     def parse(cls, text: str) -> "TwistGenerator":
         m = cls._PATTERN.match(text.strip())
-        if not m:
-            raise ParseError(f"bad twist generator: {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)), m.group(3) is not None)
+        if m:
+            try:
+                return cls(int(m.group(1)), int(m.group(2)), m.group(3) is not None)
+            except ValueError:  # a numeral past the integer conversion limit
+                pass
+        raise ParseError(f"bad twist generator: {text!r}")
 
 
 @dataclass(frozen=True)

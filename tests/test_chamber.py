@@ -12,6 +12,7 @@ from kodlat import (
     DimensionMismatch,
     EndpointOnWall,
     IndexOutOfRange,
+    InvalidParams,
     KClass,
     NormalizedCharge,
     NotGeneral,
@@ -149,6 +150,13 @@ class TestReduce:
         partial = exc.value.trace
         assert not partial.terminated
         assert len(partial.steps) == 1 and partial.word.to_list() == ["T(1,-1)"]
+
+    def test_negative_step_cap_refused_before_any_work(self):
+        # refused even where the walk would take no step, or would be refused itself
+        for zc in (ch("-1,0", "0,1", "0,1"), ch("-1,0", "1,-1", "0,1")):
+            with pytest.raises(InvalidParams, match="max_steps must be >= 0, got -1"):
+                reduce_to_fundamental(I2, zc, max_steps=-1)
+        assert reduce_to_fundamental(I2, ch("-1,0", "0,1", "0,1"), max_steps=0).terminated
 
     def test_multi_step_pinned(self):
         trace = reduce_to_fundamental(I3, ch("-1,0", "1/5,-1", "1/7,-1", "0,5"))

@@ -31,6 +31,7 @@ from kodlat import (
     support_form,
     vanishing_root,
 )
+from kodlat.ratlinalg import nullspace, psd_pivots
 from oracles import (
     charge_grid_scan,
     random_charge,
@@ -279,6 +280,46 @@ class TestSupportForm:
         form = support_form(I2, reference_charge(I2))
         assert len(form.kernel_pivots) == I2.n - 1
         assert all(p > 0 for p in form.kernel_pivots)
+
+    @pytest.mark.parametrize("label", ["IVStar", "IStar_4", "I_8"])
+    def test_kernel_pivots_are_those_of_q_on_ker_z(self, label):
+        # the certificate is -K^T Q K for the kernel basis K, by a literal sum
+        curve = curve_from_label(label)
+        dim = curve.n + 1
+        rng = random.Random(83)
+        checked = 0
+        while checked < 3:
+            zc = random_charge(curve, rng, num=4, den=4)
+            if not membership(curve, zc).in_p0:
+                continue
+            checked += 1
+            form = support_form(curve, zc)
+            values = (zc.z0,) + zc.z
+            kernel = nullspace([[v.re for v in values], [v.im for v in values]])
+            restricted = [
+                [
+                    sum(u[a] * form.matrix[a][b] * w[b] for a in range(dim) for b in range(dim))
+                    for w in kernel
+                ]
+                for u in kernel
+            ]
+            assert tuple(psd_pivots([[-x for x in row] for row in restricted])) == (
+                form.kernel_pivots
+            )
+
+    def test_kernel_pivots_pinned(self):
+        zc = charge(
+            "3/4,-3/2", "2,-2", "-1/2,0", "-1,-2/3", "0,3/2", "3/2,-4", "-1,1/4", "-2/3,3/4"
+        )
+        form = support_form(curve_from_label("IVStar"), zc)
+        assert form.kernel_pivots == (
+            Fraction(3, 2),
+            Fraction(44, 9),
+            Fraction(113, 88),
+            Fraction(165, 113),
+            Fraction(1303, 440),
+            Fraction(14641, 7818),
+        )
 
     def test_zero_on_extremal_root(self):
         zc = charge("-1,0", "1/3,-1", "0,2")

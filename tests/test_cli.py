@@ -118,6 +118,21 @@ class TestCheckVerb:
         assert status == 2
         assert data["code"] == "ParseError" and "line 2" in data["message"]
 
+    def test_overlong_numeral_is_a_parse_error(self, capsys):
+        # past the interpreter's 4300-digit limit on int-from-string conversion
+        status, data = run_cli(
+            capsys, "check", "--curve", "I_2", "--z0", "5" * 5000 + ",0", "--z", "0,1", "0,1"
+        )
+        assert status == 2 and data["code"] == "ParseError"
+        assert data["message"].startswith("not a rational: '5555")
+
+    def test_batch_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "charges.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"z0": ["-1", "0"]}'.encode("utf-16-le"))
+        status, data = run_cli(capsys, "check", "--curve", "I_2", "--input", str(path))
+        assert status == 2 and data["code"] == "ParseError"
+        assert data["message"].startswith("cannot read batch file")
+
 
 class TestTwistVerb:
     def test_class_action_matches_library(self, capsys):
@@ -137,6 +152,14 @@ class TestTwistVerb:
             "--z0", "-1,0", "--z", "1/3,-1", "0,2",
         )
         assert data["charge"] == {"z0": ["-1", "0"], "z": [["-1/3", "1"], ["2/3", "0"]]}
+
+    def test_overlong_degree_is_a_parse_error(self, capsys):
+        status, data = run_cli(
+            capsys, "twist", "--curve", "I_2", "--word", f"T(1,{'5' * 5000})",
+            "--class", '{"chi": 0, "ranks": [1, 0]}',
+        )
+        assert status == 2 and data["code"] == "ParseError"
+        assert data["message"].startswith("bad twist generator: 'T(1,5555")
 
 
 class TestReduceVerb:
@@ -174,6 +197,14 @@ class TestReduceVerb:
             "--z", "1/5,-1", "1/7,-1", "0,5", "--max-steps", "1",
         )
         assert status == 1 and data["code"] == "StepLimitExceeded"
+
+    def test_negative_step_cap_is_invalid_params(self, capsys):
+        status, data = run_cli(
+            capsys, "reduce", "--curve", "I_2", "--z0", "-1,0",
+            "--z", "0,1", "0,1", "--max-steps", "-1",
+        )
+        assert status == 1
+        assert data == {"code": "InvalidParams", "message": "max_steps must be >= 0, got -1"}
 
 
 class TestWallsVerb:
