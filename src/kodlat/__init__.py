@@ -61,6 +61,7 @@ from .errors import (
     NotGeneral,
     NotInP0,
     NotPlusComponent,
+    OutputTooLarge,
     ParseError,
     StepLimitExceeded,
     VanishingRoot,

@@ -29,9 +29,9 @@ from .errors import (
     NotPlusComponent,
     StepLimitExceeded,
 )
-from .exact import QC, format_rational, nearest_int_half_down
+from .exact import QC, clear_denominators, format_rational, from_scaled
 from .kgroup import KClass, check_dimension, line_bundle_class
-from .twist import TwistGenerator, TwistWord, dual_reflect_charge
+from .twist import TwistGenerator, TwistWord, reflect_scaled
 
 
 @dataclass(frozen=True)
@@ -138,13 +138,6 @@ class ReductionTrace:
         }
 
 
-def _reflect_normalized(
-    curve: KodairaCurve, i: int, k: int, zn: NormalizedCharge
-) -> NormalizedCharge:
-    # the dual reflection fixes z0, so normalized charges stay normalized
-    return NormalizedCharge(dual_reflect_charge(curve, i, k, zn.as_charge()).z)
-
-
 def reduce_to_fundamental(
     curve: KodairaCurve, zc: CentralCharge, max_steps: int = 10000
 ) -> ReductionTrace:
@@ -164,8 +157,10 @@ def reduce_to_fundamental(
     if report.component is not Component.PLUS:
         raise NotPlusComponent(f"charge component is {report.component.value}")
     zn = normalize(curve, zc)
+    den, zs = clear_denominators(zn.z)
+    z0 = (-den, 0)  # z0 = -1 over D, fixed by every step
     steps: list[ReductionStep] = []
-    seen = {zn}
+    seen = {tuple(zs)}
 
     def trace(final: NormalizedCharge, terminated: bool) -> ReductionTrace:
         return ReductionTrace(
@@ -176,7 +171,7 @@ def reduce_to_fundamental(
         )
 
     while True:
-        if not any(v.im < 0 for v in zn.z):
+        if not any(y < 0 for _, y in zs):
             # inside or on a wall; NotGeneral propagates from corner points
             in_fundamental_chamber(curve, zn, closed=True)
             return trace(zn, True)
@@ -184,15 +179,16 @@ def reduce_to_fundamental(
             raise StepLimitExceeded(
                 f"no termination within {max_steps} steps", trace(zn, False)
             )
-        worst = min(range(curve.n), key=lambda idx: (zn.z[idx].im, idx))
-        i = worst + 1
-        k = nearest_int_half_down(zn.z[worst].re) - 1
-        gen = TwistGenerator(i, k)
-        zn = _reflect_normalized(curve, i, k, zn)
-        steps.append(ReductionStep(gen, zn))
-        if zn in seen:
+        worst = min(range(curve.n), key=lambda idx: (zs[idx][1], idx))
+        # k + 1 = ceil(x/D - 1/2), the nearest integer with ties rounded down
+        k = -((den - 2 * zs[worst][0]) // (2 * den)) - 1
+        reflect_scaled(curve, worst + 1, k, z0, zs)
+        zn = NormalizedCharge(from_scaled(den, zs))
+        steps.append(ReductionStep(TwistGenerator(worst + 1, k), zn))
+        state = tuple(zs)
+        if state in seen:
             raise StepLimitExceeded("state revisited: walk cycles", trace(zn, False))
-        seen.add(zn)
+        seen.add(state)
 
 
 @dataclass(frozen=True)

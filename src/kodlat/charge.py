@@ -10,7 +10,6 @@ z_i = i, detected by the sign of the span determinant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .errors import (
     ParseError,
     VanishingRoot,
 )
-from .exact import QC, format_rational
+from .exact import QC, clear_denominators, format_rational
 from .kgroup import KClass, check_dimension, radical_basis
 from .ratlinalg import closest_lattice_point, lagrange_reduce, nullspace, psd_pivots
 from .roots import fundamental_roots
@@ -108,9 +107,7 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass
     replaces the witness, and a distance of 0 (a vanishing root) stops it.
     """
     check_dimension(curve, zc.z, "charge")
-    values = (zc.z0,) + zc.z
-    den = math.lcm(*(x.denominator for val in values for x in (val.re, val.im)))
-    z0, *zs = [(int(val.re * den), int(val.im * den)) for val in values]
+    den, (z0, *zs) = clear_denominators((zc.z0, *zc.z))
 
     def scaled_value(ranks: tuple[int, ...]) -> tuple[int, int]:
         re = im = 0

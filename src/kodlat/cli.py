@@ -27,7 +27,7 @@ from .chamber import (
     wall_crossings_on_segment,
 )
 from .charge import CentralCharge, membership
-from .errors import KodlatError, ParseError
+from .errors import KodlatError, OutputTooLarge, ParseError
 from .exact import QC, RATIONAL_TEXT
 from .kgroup import KClass, pair
 from .roots import enumerate_roots_in_box, fundamental_roots
@@ -237,7 +237,11 @@ def main(argv=None) -> int:
         payload = _run(args)
         if getattr(args, "approx", False):
             payload = {"exact": payload, "approx": _approximate(payload)}
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=True))
+        try:
+            text = json.dumps(payload, sort_keys=True, ensure_ascii=True)
+        except ValueError as exc:  # an int past the integer conversion limit
+            raise OutputTooLarge() from exc
+        print(text)
         return 0
     except _HelpShown:
         return 0

@@ -6,6 +6,8 @@ string the command line interface puts into its JSON error object.
 
 from __future__ import annotations
 
+import sys
+
 
 class KodlatError(Exception):
     """Base class for all library errors."""
@@ -102,3 +104,16 @@ class ParseError(KodlatError):
     """Malformed textual input (curve label, rational, word, JSON payload)."""
 
     code = "ParseError"
+
+
+class OutputTooLarge(KodlatError):
+    """A result has a numeral past the interpreter's integer conversion
+    limit, so it cannot be rendered as JSON."""
+
+    code = "OutputTooLarge"
+
+    def __init__(self):
+        super().__init__(
+            "an output numeral is longer than the integer conversion limit"
+            f" of {sys.get_int_max_str_digits()} digits"
+        )

@@ -1,8 +1,8 @@
 """Exact complex rationals.
 
 All decision paths in the library are exact: ``fractions.Fraction``, or
-integers where the root scan has cleared denominators.  A complex value is
-a pair of fractions.  No floating point anywhere in here.
+integer pairs over a common denominator (``clear_denominators``).  A complex
+value is a pair of fractions.  No floating point anywhere in here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import OutputTooLarge, ParseError
 
 Rat = Union[int, Fraction]
 
@@ -42,13 +42,27 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(x))
+    """Render a Fraction as "p/q", or "p" when the denominator is 1.
+
+    A numeral past the interpreter's integer conversion limit raises
+    OutputTooLarge.
+    """
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise OutputTooLarge() from exc
 
 
-def nearest_int_half_down(x: Fraction) -> int:
-    """Nearest integer to x, ties rounded down: 1/2 -> 0, 3/2 -> 1."""
-    return math.ceil(x - Fraction(1, 2))
+def clear_denominators(values: tuple[QC, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, pairs): D is the lcm of the denominators of the complex values,
+    and pair j holds the integers D Re v_j and D Im v_j."""
+    den = math.lcm(*(x.denominator for val in values for x in (val.re, val.im)))
+    return den, [(int(val.re * den), int(val.im * den)) for val in values]
+
+
+def from_scaled(den: int, pairs) -> tuple[QC, ...]:
+    """Inverse of clear_denominators: the values (re + i im) / D."""
+    return tuple(QC(Fraction(re, den), Fraction(im, den)) for re, im in pairs)
 
 
 @dataclass(frozen=True)

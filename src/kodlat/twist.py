@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .catalog import KodairaCurve
 from .charge import CentralCharge
 from .errors import IndexOutOfRange, ParseError
-from .exact import QC
+from .exact import clear_denominators, from_scaled
 from .kgroup import KClass, check_dimension, gram_apply, line_bundle_class
 
 
@@ -86,29 +86,39 @@ def reflect_class(curve: KodairaCurve, i: int, k: int, v: KClass) -> KClass:
     return v + delta.scale(coeff)
 
 
+def reflect_scaled(
+    curve: KodairaCurve, i: int, k: int, z0: tuple[int, int], zs: list[tuple[int, int]]
+) -> None:
+    """Z o s on integer (re, im) pairs over a common denominator, in place:
+    z0 is fixed and component j moves by gram[j][i] ((k+1) z0 + z_i), which
+    for normalized z0 = -1 is the familiar z_j + gram[j][i] (z_i - (k+1))."""
+    dx = (k + 1) * z0[0] + zs[i - 1][0]
+    dy = (k + 1) * z0[1] + zs[i - 1][1]
+    for j, row in enumerate(curve.gram):
+        if row[i - 1]:
+            zs[j] = (zs[j][0] + row[i - 1] * dx, zs[j][1] + row[i - 1] * dy)
+
+
 def dual_reflect_charge(
     curve: KodairaCurve, i: int, k: int, zc: CentralCharge
 ) -> CentralCharge:
-    """The charge Z o s.  z0 is fixed; component j moves by
-    gram[j][i] ((k+1) z0 + z_i), which for normalized z0 = -1 is the familiar
-    z_j + gram[j][i] (z_i - (k+1))."""
-    _check_index(curve, i)
-    check_dimension(curve, zc.z, "charge")
-    zdelta = zc.z0.scale(k + 1) + zc.z[i - 1]
-    new_z = tuple(
-        zj + zdelta.scale(curve.gram[j][i - 1]) for j, zj in enumerate(zc.z)
-    )
-    return CentralCharge(zc.z0, new_z)
+    """The charge Z o s for the single generator T(i, k)."""
+    return apply_word(curve, TwistWord((TwistGenerator(i, k),)), zc)
 
 
 def apply_word(curve: KodairaCurve, word: TwistWord, target):
-    """Apply a word left to right to a KClass or a CentralCharge."""
+    """Apply a word left to right to a KClass or a CentralCharge, checking
+    its dimension once first; a charge moves as integer pairs over D."""
     if isinstance(target, KClass):
+        check_dimension(curve, target.ranks)
         for g in word.generators:
             target = reflect_class(curve, g.i, g.k, target)
         return target
     if isinstance(target, CentralCharge):
+        check_dimension(curve, target.z, "charge")
+        den, (z0, *zs) = clear_denominators((target.z0, *target.z))
         for g in word.generators:
-            target = dual_reflect_charge(curve, g.i, g.k, target)
-        return target
+            _check_index(curve, g.i)
+            reflect_scaled(curve, g.i, g.k, z0, zs)
+        return CentralCharge(target.z0, from_scaled(den, zs))
     raise TypeError(f"cannot apply a twist word to {type(target).__name__}")

@@ -203,3 +203,85 @@ def vanishing_charge(
         zc = CentralCharge(z0, tuple(z))
         if radical_independence(curve, zc):
             return zc, delta
+
+
+def precompose_word(curve: KodairaCurve, zc: CentralCharge, generators) -> CentralCharge:
+    """The charge Z o s_1 o ... o s_m, evaluated on the lattice basis.
+
+    Each basis class is pushed through the generators (i, k), the last one
+    first, by s(v) = v + <v, d> d with d = (k + 1, e_i) and <v, d> read off
+    the Gram matrix; Z is then evaluated on the image.
+    """
+    values = []
+    for b in range(curve.n + 1):
+        chi, ranks = int(b == 0), [int(b == j + 1) for j in range(curve.n)]
+        for i, k in reversed(generators):
+            c = sum(r * row[i - 1] for r, row in zip(ranks, curve.gram))
+            chi += c * (k + 1)
+            ranks[i - 1] += c
+        re = chi * zc.z0.re + sum(r * z.re for r, z in zip(ranks, zc.z))
+        im = chi * zc.z0.im + sum(r * z.im for r, z in zip(ranks, zc.z))
+        values.append(QC(re, im))
+    return CentralCharge(values[0], tuple(values[1:]))
+
+
+def gram_column_combination(curve: KodairaCurve, target) -> list[Fraction] | None:
+    """Coefficients a with gram . a = target and a_j0 = 0, or None.
+
+    j0 is a node of mark 1, so gram . a' = target has an integral solution
+    a' exactly when this one is integral (a' - a is a multiple of the
+    cycle).  Plain Gauss-Jordan elimination over Fraction on the other
+    columns, which are independent, augmented by target.
+    """
+    n = curve.n
+    j0 = list(curve.marks).index(1)
+    cols = [j for j in range(n) if j != j0]
+    rows = [[Fraction(row[j]) for j in cols] + [Fraction(t)] for row, t in zip(curve.gram, target)]
+    for r in range(n - 1):
+        p = next(q for q in range(r, n) if rows[q][r] != 0)
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][r] for x in rows[r]]
+        for q in range(n):
+            if q != r and rows[q][r] != 0:
+                rows[q] = [x - rows[q][r] * y for x, y in zip(rows[q], rows[r])]
+    if rows[n - 1][n - 1] != 0:
+        return None
+    coeffs = [Fraction(0)] * n
+    for r, j in enumerate(cols):
+        coeffs[j] = rows[r][n - 1]
+    return coeffs
+
+
+def count_negative_positive_roots(curve: KodairaCurve, y) -> int | None:
+    """Number of positive real affine roots beta + m cycle with sum of
+    beta_j y_j + m level < 0, where level = sum cycle_j y_j > 0.
+
+    The finite roots beta are those of the diagram with one mark-1 node
+    deleted, found by closing its simple roots under simple reflections; a
+    positive affine root has m >= 1, or m = 0 and beta positive.  Returns
+    None when some root takes the value 0 on y.
+    """
+    g = math.gcd(*curve.marks)
+    cycle = [a // g for a in curve.marks]
+    j0 = cycle.index(1)
+    level = sum(c * x for c, x in zip(cycle, y))
+    assert level > 0
+    nodes = [j for j in range(curve.n) if j != j0]
+    simple = [tuple(int(j == t) for t in range(curve.n)) for j in nodes]
+    finite, frontier = set(simple), list(simple)
+    while frontier:
+        root = frontier.pop()
+        for i in nodes:
+            c = sum(r * row[i] for r, row in zip(root, curve.gram))
+            image = tuple(r + c * (t == i) for t, r in enumerate(root))
+            if c and image not in finite:
+                finite.add(image)
+                frontier.append(image)
+    total = 0
+    for beta in finite:
+        m_min = 0 if min(beta) >= 0 else 1
+        bound = Fraction(-sum(b * x for b, x in zip(beta, y))) / level  # m < bound
+        if bound.denominator == 1 and bound >= m_min:
+            return None
+        total += max(0, math.ceil(bound) - m_min)
+    return total

@@ -185,6 +185,15 @@ class TestReduce:
                     after = cycle_value(curve, step.charge_after.as_charge())
                     assert after.im == level
 
+    @pytest.mark.parametrize(
+        "re, word",
+        [("1/2", "T(1,-1)"), ("3/2", "T(1,0)"), ("-1/2", "T(1,-2)"), ("-3/2", "T(1,-3)")],
+    )
+    def test_greedy_degree_ties_round_down(self, re, word):
+        """k + 1 is the nearest integer to Re z_i, and a half rounds down."""
+        trace = reduce_to_fundamental(I2, ch("-1,0", f"{re},-1", "0,3"))
+        assert trace.terminated and trace.word.to_list() == [word]
+
     def test_trace_serialization(self):
         trace = reduce_to_fundamental(I2, ch("-1,0", "1/3,-1", "0,2"))
         data = trace.to_dict()

@@ -13,6 +13,11 @@ import kodlat
 from kodlat import KClass, TwistWord, apply_word, curve_from_label
 from kodlat.cli import main
 
+TOO_LARGE = {
+    "code": "OutputTooLarge",
+    "message": "an output numeral is longer than the integer conversion limit of 4300 digits",
+}
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
@@ -80,6 +85,11 @@ class TestPairVerb:
         )
         assert status == 2 and data["code"] == "ParseError"
 
+    def test_output_past_digit_limit(self, capsys):
+        big = f'{{"chi": 0, "ranks": [{"5" * 3000}, 0]}}'
+        status, data = run_cli(capsys, "pair", "--curve", "I_2", "--v", big, "--w", big)
+        assert (status, data) == (1, TOO_LARGE)
+
 
 class TestCheckVerb:
     def test_pinned_report(self, capsys):
@@ -133,6 +143,14 @@ class TestCheckVerb:
         assert status == 2 and data["code"] == "ParseError"
         assert data["message"].startswith("cannot read batch file")
 
+    def test_output_past_digit_limit(self, capsys):
+        threes = "3" * 3000
+        status, data = run_cli(
+            capsys, "check", "--curve", "I_2", "--z0", f"-1,1/{threes}",
+            "--z", f"1/7,1/{threes}", "0,1",
+        )
+        assert (status, data) == (1, TOO_LARGE)
+
 
 class TestTwistVerb:
     def test_class_action_matches_library(self, capsys):
@@ -160,6 +178,28 @@ class TestTwistVerb:
         )
         assert status == 2 and data["code"] == "ParseError"
         assert data["message"].startswith("bad twist generator: 'T(1,5555")
+
+    @pytest.mark.parametrize(
+        "target",
+        [["--z0", "-1,0", "--z", "0,1"], ["--class", '{"chi": 0, "ranks": [1]}']],
+        ids=["charge", "class"],
+    )
+    def test_empty_word_still_checks_dimension(self, capsys, target):
+        status, data = run_cli(capsys, "twist", "--curve", "I_3", "--word", "", *target)
+        assert status == 1 and data["code"] == "DimensionMismatch"
+
+    def test_output_past_digit_limit(self, capsys):
+        threes = "3" * 3000
+        status, data = run_cli(
+            capsys, "twist", "--curve", "I_2", "--word", f"T(1,{threes})",
+            "--z0", f"{threes},1", "--z", "0,1", "0,1",
+        )
+        assert (status, data) == (1, TOO_LARGE)
+        status, data = run_cli(
+            capsys, "twist", "--curve", "I_2", "--word", f"T(1,{'7' * 3000})",
+            "--class", f'{{"chi": 0, "ranks": [{"5" * 3000}, 0]}}',
+        )
+        assert (status, data) == (1, TOO_LARGE)
 
 
 class TestReduceVerb:
@@ -220,6 +260,14 @@ class TestWallsVerb:
             capsys, "walls", "--curve", "I_2", "--za", "0,1", "0,2", "--zb", "2,-1", "0,2"
         )
         assert status == 1 and data["code"] == "CornerOnPath"
+
+    def test_output_past_digit_limit(self, capsys):
+        threes = "3" * 3000
+        status, data = run_cli(
+            capsys, "walls", "--curve", "I_2", "--za", f"0,1/{threes}", "0,1",
+            "--zb", f"1/{threes},-1/7", "0,1",
+        )
+        assert (status, data) == (1, TOO_LARGE)
 
 
 class TestJhVerb:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kodlat import ParseError, QC, format_rational, parse_rational
-from kodlat.exact import nearest_int_half_down
+from kodlat import OutputTooLarge, ParseError, QC, format_rational, parse_rational
+from kodlat.exact import clear_denominators, from_scaled
 from kodlat.ratlinalg import (
     closest_lattice_point,
     lagrange_reduce,
@@ -38,12 +38,17 @@ class TestRationals:
         with pytest.raises(ParseError):
             parse_rational(text)
 
-    def test_nearest_ties_round_down(self):
-        assert nearest_int_half_down(Fraction(1, 2)) == 0
-        assert nearest_int_half_down(Fraction(3, 2)) == 1
-        assert nearest_int_half_down(Fraction(-1, 2)) == -1
-        assert nearest_int_half_down(Fraction(1, 3)) == 0
-        assert nearest_int_half_down(Fraction(2, 3)) == 1
+    def test_format_past_digit_limit_is_output_too_large(self):
+        with pytest.raises(OutputTooLarge, match="integer conversion limit"):
+            format_rational(Fraction(1, 3 ** 10000))
+
+    @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5))
+    def test_clear_denominators_round_trip(self, parts):
+        values = tuple(QC(a, b) for a, b in parts)
+        den, pairs = clear_denominators(values)
+        assert all(isinstance(x, int) for pair in pairs for x in pair)
+        assert all(den % x.denominator == 0 for v in values for x in (v.re, v.im))
+        assert from_scaled(den, pairs) == values
 
 
 class TestQC:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kodlat import (
     CentralCharge,
+    DimensionMismatch,
     IndexOutOfRange,
     KClass,
     ParseError,
@@ -178,6 +179,16 @@ class TestApplyWord:
         for _ in range(20):
             current = apply_word(I2, step, current)
             assert current != v
+
+    def test_dimension_checked_before_any_generator(self):
+        i3 = curve_from_label("I_3")
+        for word in (TwistWord(()), TwistWord.parse("T(9,0)")):
+            with pytest.raises(DimensionMismatch, match="charge has 1 component values"):
+                apply_word(i3, word, charge("-1,0", "0,1"))
+            with pytest.raises(DimensionMismatch, match="class has 1 ranks"):
+                apply_word(i3, word, KClass(0, (1,)))
+        with pytest.raises(DimensionMismatch):
+            dual_reflect_charge(i3, 9, 0, charge("-1,0", "0,1"))
 
     def test_rejects_other_targets(self):
         with pytest.raises(TypeError):
