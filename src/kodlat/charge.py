@@ -18,13 +18,14 @@ from typing import Optional
 from .catalog import KodairaCurve
 from .errors import (
     DegenerateRadical,
+    DimensionMismatch,
     NotInP0,
     ParseError,
     VanishingRoot,
 )
 from .exact import QC, clear_denominators, format_rational
 from .kgroup import KClass, check_dimension, radical_basis
-from .ratlinalg import closest_lattice_point, lagrange_reduce, nullspace, psd_pivots
+from .ratlinalg import closest_lattice_point, lagrange_reduce, psd_pivots
 from .roots import fundamental_roots
 
 
@@ -225,13 +226,19 @@ class SupportForm:
     unit classes); ``kernel_pivots`` are the positive LDL^T pivots of -Q
     restricted to the kernel of Z, certifying negative definiteness there.
     Z vanishes on that kernel, so Q equals the Euler pairing there, and the
-    certificate is the Euler pairing restricted to ker Z.
+    certificate is the Euler pairing restricted to ker Z.  The kernel basis
+    is the reduced-row-echelon one of the 2 x dim system Re Z = Im Z = 0,
+    found by Cramer's rule on its two pivot columns.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     kernel_pivots: tuple[Fraction, ...]
 
     def value(self, v: KClass) -> Fraction:
+        if len(v.ranks) + 1 != len(self.matrix):
+            raise DimensionMismatch(
+                f"class has {len(v.ranks)} ranks, the form has {len(self.matrix) - 1} components"
+            )
         coords = (v.chi,) + v.ranks
         return sum(
             ci * sum(q * cj for q, cj in zip(row, coords))
@@ -248,6 +255,12 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     Q is negative definite on the kernel of Z (rational LDL^T certificate)
     and nonnegative on every root, which holds by construction since M^2 is
     the exact minimum of |Z|^2 on roots.  Raises NotInP0 on invalid charges.
+
+    The work runs on the charge's integer form (values times their common
+    denominator D, and best = M^2 D^2).  Each kernel vector comes from
+    Cramer's rule on two columns: it is det times the echelon one, with at
+    most three nonzero entries, so the restricted pairing is an integer
+    matrix and its pivots are divided by det^2.
     """
     report = membership(curve, zc)
     if not report.in_p0:
@@ -255,19 +268,26 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     dim = curve.n + 1
     # coordinates: (chi, ranks); the point class pairs trivially with everything
     gram = [[0] * dim] + [[0, *row] for row in curve.gram]
-    re = [v.re for v in (zc.z0, *zc.z)]
-    im = [v.im for v in (zc.z0, *zc.z)]
-    scale = Fraction(2) / report.min_modulus_sq
+    den, zs = clear_denominators((zc.z0, *zc.z))
+    best = int(report.min_modulus_sq * den * den)  # the scan's integer distance
     mat = [
-        [gram[a][b] + scale * (re[a] * re[b] + im[a] * im[b]) for b in range(dim)]
-        for a in range(dim)
+        [Fraction(g * best + 2 * (ra * rb + ia * ib), best) for g, (rb, ib) in zip(row, zs)]
+        for row, (ra, ia) in zip(gram, zs)
     ]
-    # kernel of Z: two real conditions on the coefficient vector
-    kernel = nullspace([re, im])
-    assert len(kernel) == dim - 2
+
+    def cross(a: int, b: int) -> int:
+        return zs[a][0] * zs[b][1] - zs[a][1] * zs[b][0]
+
+    # ker Z by Cramer's rule: z0 != 0 is the first pivot column, q the second
+    q = next(j for j in range(1, dim) if cross(0, j))
+    det = cross(0, q)
+    kernel = [
+        ((f, det), (0, -cross(f, q)), (q, -cross(0, f))) for f in range(1, dim) if f != q
+    ]
     # Z vanishes on its kernel, so there Q is the Euler pairing alone
-    gk = [[sum(g * x for g, x in zip(row, v)) for row in gram] for v in kernel]
-    restricted = [[sum(x * y for x, y in zip(u, w)) for w in gk] for u in kernel]
+    restricted = [
+        [sum(x * gram[a][b] * y for a, x in u for b, y in w) for w in kernel] for u in kernel
+    ]
     try:
         pivots = psd_pivots([[-x for x in row] for row in restricted])
     except ValueError as exc:  # pragma: no cover - impossible for valid charges
@@ -276,7 +296,7 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
         raise NotInP0("support form degenerate on ker Z")
     return SupportForm(
         matrix=tuple(tuple(row) for row in mat),
-        kernel_pivots=tuple(pivots),
+        kernel_pivots=tuple(Fraction(d, det * det) for d in pivots),
     )
 
 

@@ -157,7 +157,10 @@ def _approximate(obj):
     if isinstance(obj, list):
         return [_approximate(item) for item in obj]
     if isinstance(obj, str) and RATIONAL_TEXT.match(obj):
-        return float(Fraction(obj))
+        try:
+            return float(Fraction(obj))
+        except OverflowError as exc:
+            raise OutputTooLarge("an output value is past the float range of --approx") from exc
     return obj
 
 

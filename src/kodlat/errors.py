@@ -107,13 +107,14 @@ class ParseError(KodlatError):
 
 
 class OutputTooLarge(KodlatError):
-    """A result has a numeral past the interpreter's integer conversion
-    limit, so it cannot be rendered as JSON."""
+    """A result cannot be rendered: by default, a numeral past the
+    interpreter's integer conversion limit, so no JSON can hold it."""
 
     code = "OutputTooLarge"
 
-    def __init__(self):
+    def __init__(self, message: str | None = None):
         super().__init__(
-            "an output numeral is longer than the integer conversion limit"
+            message
+            or "an output numeral is longer than the integer conversion limit"
             f" of {sys.get_int_max_str_digits()} digits"
         )

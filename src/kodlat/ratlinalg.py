@@ -1,10 +1,11 @@
 """Small exact linear algebra helpers.
 
-The certificates (LDL^T pivots) and kernel bases work on lists of lists of
+The semidefiniteness certificate (LDL^T pivots) works on lists of lists of
 Fractions; matrices never exceed a few dozen entries, so clarity beats
-asymptotics.  The two-dimensional lattice reduction and closest-vector
-search behind the root scan work on plain integer pairs: callers clear
-denominators first.
+asymptotics.  No kernel bases are computed here: the support form's kernel
+has a closed form on integers (see ``charge.support_form``).  The
+two-dimensional lattice reduction and closest-vector search behind the root
+scan work on plain integer pairs: callers clear denominators first.
 """
 
 from __future__ import annotations
@@ -57,40 +58,6 @@ def ldlt_psd(a: Sequence[Sequence]) -> tuple[Mat, Vec]:
 def psd_pivots(a: Sequence[Sequence]) -> Vec:
     """Pivots of the LDL^T factorization; raises ValueError if not PSD."""
     return ldlt_psd(a)[1]
-
-
-def nullspace(a: Sequence[Sequence]) -> list[Vec]:
-    """Basis of the right kernel of a rational matrix (RREF back-substitution)."""
-    m = _as_mat(a)
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis: list[Vec] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 def lagrange_reduce(b1: IVec, b2: IVec) -> tuple[IVec, IVec, list[list[int]]]:

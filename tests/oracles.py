@@ -285,3 +285,55 @@ def count_negative_positive_roots(curve: KodairaCurve, y) -> int | None:
             return None
         total += max(0, math.ceil(bound) - m_min)
     return total
+
+
+def nullspace(a) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix (RREF back-substitution)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivot_cols):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
+
+
+def determinant(a) -> Fraction:
+    """Determinant of a square rational matrix by Gaussian elimination with
+    row swaps; 1 for the empty matrix."""
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det

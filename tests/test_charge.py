@@ -31,9 +31,10 @@ from kodlat import (
     support_form,
     vanishing_root,
 )
-from kodlat.ratlinalg import nullspace, psd_pivots
 from oracles import (
     charge_grid_scan,
+    determinant,
+    nullspace,
     random_charge,
     random_class,
     random_qc,
@@ -283,7 +284,8 @@ class TestSupportForm:
 
     @pytest.mark.parametrize("label", ["IVStar", "IStar_4", "I_8"])
     def test_kernel_pivots_are_those_of_q_on_ker_z(self, label):
-        # the certificate is -K^T Q K for the kernel basis K, by a literal sum
+        # the certificate is -K^T Q K for the kernel basis K, by a literal sum;
+        # its LDL^T pivots are the ratios of consecutive leading minors
         curve = curve_from_label(label)
         dim = curve.n + 1
         rng = random.Random(83)
@@ -303,8 +305,12 @@ class TestSupportForm:
                 ]
                 for u in kernel
             ]
-            assert tuple(psd_pivots([[-x for x in row] for row in restricted])) == (
-                form.kernel_pivots
+            minors = [
+                determinant([[-x for x in row[:k]] for row in restricted[:k]])
+                for k in range(len(kernel) + 1)
+            ]
+            assert form.kernel_pivots == tuple(
+                minors[k] / minors[k - 1] for k in range(1, len(minors))
             )
 
     def test_kernel_pivots_pinned(self):
@@ -320,6 +326,19 @@ class TestSupportForm:
             Fraction(1303, 440),
             Fraction(14641, 7818),
         )
+
+    def test_kernel_pivots_when_first_columns_are_parallel(self):
+        # z0 and z_1 are both real, so the second kernel pivot column is z_2
+        curve = curve_from_label("I_3")
+        zc = charge("-1,0", "1/2,0", "0,1", "1/3,2")
+        assert membership(curve, zc).min_modulus_sq == Fraction(1, 4)
+        assert support_form(curve, zc).kernel_pivots == (Fraction(2), Fraction(27, 2))
+
+    @pytest.mark.parametrize("ranks", [(1,), (1, 0, 5)])
+    def test_value_rejects_wrong_dimension(self, ranks):
+        form = support_form(I2, reference_charge(I2))
+        with pytest.raises(DimensionMismatch):
+            form.value(KClass(0, ranks))
 
     def test_zero_on_extremal_root(self):
         zc = charge("-1,0", "1/3,-1", "0,2")

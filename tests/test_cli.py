@@ -297,6 +297,19 @@ class TestOutputContract:
         assert wrapped["exact"] == plain
         assert wrapped["approx"]["min_modulus_sq"] == pytest.approx(1 / 9)
 
+    def test_approx_past_float_range(self, capsys):
+        argv = [
+            "twist", "--curve", "I_2", "--word", "T(1,0)",
+            "--z0", "-1,0", "--z", f"{'9' * 400},1", "0,1",
+        ]
+        status, _ = run_cli(capsys, *argv)
+        assert status == 0
+        status, data = run_cli(capsys, *argv, "--approx")
+        assert (status, data) == (1, {
+            "code": "OutputTooLarge",
+            "message": "an output value is past the float range of --approx",
+        })
+
     def test_error_object_is_entire_output(self, capsys):
         status, data = run_cli(capsys, "catalog", "--curve", "I_1")
         assert status == 1

@@ -12,10 +12,9 @@ from kodlat.ratlinalg import (
     closest_lattice_point,
     lagrange_reduce,
     ldlt_psd,
-    nullspace,
     psd_pivots,
 )
-from oracles import brute_closest
+from oracles import brute_closest, nullspace
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 

@@ -28,6 +28,7 @@ from kodlat import (
     min_root_modulus_witness,
     radical_basis,
     reduce_to_fundamental,
+    support_form,
 )
 from oracles import (
     random_charge,
@@ -47,6 +48,7 @@ PINNED = {
     "dual_reflect_charge": "174aad6875022bca6873eabba7329d2b796e8814d740f99eeb57d5bdeebd1ab3",
     "reduce_to_fundamental": "2c606967731599667224152fec35367657eac081eb37b3153b2ea22fa707643c",
     "reduce_to_fundamental_max_steps_1": "be2c480bafea2aecde962edef6fbd35bf7e337f8741188300399bdf2cb7609f1",
+    "support_form": "971619d5af834004f5a488d9e5f217e9c65d86251fec16583c81cfc6f4da4032",
 }
 
 
@@ -104,6 +106,11 @@ def _witness(curve, zc):
     return [str(msq), witness.to_dict()]
 
 
+def _support(curve, zc):
+    form = support_form(curve, zc)
+    return [form.to_dict(), [str(p) for p in form.kernel_pivots]]
+
+
 FUNCTIONS = {
     "membership": lambda c, zc, v, w, g: membership(c, zc).to_dict(),
     "min_root_modulus_witness": lambda c, zc, v, w, g: _witness(c, zc),
@@ -114,6 +121,7 @@ FUNCTIONS = {
     "reduce_to_fundamental_max_steps_1": (
         lambda c, zc, v, w, g: reduce_to_fundamental(c, zc, max_steps=1).to_dict()
     ),
+    "support_form": lambda c, zc, v, w, g: _support(c, zc),
 }
 
 
