@@ -224,7 +224,8 @@ class SupportForm:
 
     ``matrix`` is symmetric rational in the basis (point class, component
     unit classes); ``kernel_pivots`` are the positive LDL^T pivots of -Q
-    restricted to the kernel of Z, certifying negative definiteness there.
+    restricted to the kernel of Z, computed fraction-free; they certify
+    negative definiteness there.
     Z vanishes on that kernel, so Q equals the Euler pairing there, and the
     certificate is the Euler pairing restricted to ker Z.  The kernel basis
     is the reduced-row-echelon one of the 2 x dim system Re Z = Im Z = 0,
@@ -252,7 +253,7 @@ class SupportForm:
 def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     """Build Q for a valid charge and certify its two defining properties.
 
-    Q is negative definite on the kernel of Z (rational LDL^T certificate)
+    Q is negative definite on the kernel of Z (fraction-free LDL^T pivots)
     and nonnegative on every root, which holds by construction since M^2 is
     the exact minimum of |Z|^2 on roots.  Raises NotInP0 on invalid charges.
 
@@ -284,16 +285,13 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     kernel = [
         ((f, det), (0, -cross(f, q)), (q, -cross(0, f))) for f in range(1, dim) if f != q
     ]
-    # Z vanishes on its kernel, so there Q is the Euler pairing alone
+    # Z vanishes on its kernel, so there Q is the Euler pairing alone; ker Z meets
+    # the radical only in 0, so that pairing is negative definite on it
     restricted = [
         [sum(x * gram[a][b] * y for a, x in u for b, y in w) for w in kernel] for u in kernel
     ]
-    try:
-        pivots = psd_pivots([[-x for x in row] for row in restricted])
-    except ValueError as exc:  # pragma: no cover - impossible for valid charges
-        raise NotInP0(f"support form not negative definite on ker Z: {exc}") from exc
-    if not all(p > 0 for p in pivots):  # pragma: no cover
-        raise NotInP0("support form degenerate on ker Z")
+    pivots = psd_pivots([[-x for x in row] for row in restricted])
+    assert all(pivots)
     return SupportForm(
         matrix=tuple(tuple(row) for row in mat),
         kernel_pivots=tuple(Fraction(d, det * det) for d in pivots),

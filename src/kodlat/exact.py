@@ -48,7 +48,9 @@ def format_rational(x: Fraction) -> str:
     OutputTooLarge.
     """
     try:
-        return str(Fraction(x))
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:
         raise OutputTooLarge() from exc
 

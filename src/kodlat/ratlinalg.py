@@ -1,8 +1,8 @@
-"""Small exact linear algebra helpers.
+"""Small exact linear algebra on integers.
 
-The semidefiniteness certificate (LDL^T pivots) works on lists of lists of
-Fractions; matrices never exceed a few dozen entries, so clarity beats
-asymptotics.  No kernel bases are computed here: the support form's kernel
+The semidefiniteness certificate (``psd_pivots``) is a fraction-free
+symmetric elimination on an integer matrix; only its pivots are
+``Fraction``s.  No kernel bases are computed here: the support form's kernel
 has a closed form on integers (see ``charge.support_form``).  The
 two-dimensional lattice reduction and closest-vector search behind the root
 scan work on plain integer pairs: callers clear denominators first.
@@ -13,51 +13,39 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
 IVec = tuple[int, int]
 
 
-def _as_mat(a: Sequence[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in a]
+def psd_pivots(a: Sequence[Sequence]) -> list[Fraction]:
+    """LDL^T pivots of a symmetric PSD integer matrix, fraction-free.
 
-
-def ldlt_psd(a: Sequence[Sequence]) -> tuple[Mat, Vec]:
-    """Pivotless LDL^T factorization of a symmetric PSD matrix.
-
-    Returns (L, d) with L unit lower triangular and a = L diag(d) L^T,
-    all pivots d[j] >= 0.  For a PSD matrix a zero pivot forces the whole
-    remaining column to vanish; a negative pivot or a nonzero column under a
-    zero pivot raises ValueError, which makes this a semidefiniteness
-    certificate.
+    Symmetric Bareiss elimination on the lower triangle keeps every entry
+    an integer; pivot k is the ratio of successive nonzero leading pivots.
+    A zero pivot must have a zero column below it: the step is skipped and
+    the pivot is 0.  A negative pivot, a nonzero column under a zero pivot
+    or a non-integer entry raises ValueError, so this certifies PSD.
     """
-    m = _as_mat(a)
+    m = [[int(x) for x in row] for row in a]
     n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    lmat = [[Fraction(0)] * n for _ in range(n)]
-    d: Vec = [Fraction(0)] * n
-    for j in range(n):
-        lmat[j][j] = Fraction(1)
-        s = m[j][j] - sum(lmat[j][k] * lmat[j][k] * d[k] for k in range(j))
-        if s < 0:
-            raise ValueError(f"negative pivot {s} at index {j}: not PSD")
-        d[j] = s
-        for i in range(j + 1, n):
-            t = m[i][j] - sum(lmat[i][k] * lmat[j][k] * d[k] for k in range(j))
-            if s == 0:
-                if t != 0:
-                    raise ValueError(f"zero pivot with nonzero column at {j}: not PSD")
-                lmat[i][j] = Fraction(0)
-            else:
-                lmat[i][j] = t / s
-    return lmat, d
-
-
-def psd_pivots(a: Sequence[Sequence]) -> Vec:
-    """Pivots of the LDL^T factorization; raises ValueError if not PSD."""
-    return ldlt_psd(a)[1]
+    if any(len(row) != n for row in m) or m != [list(row) for row in a]:
+        raise ValueError("matrix must be square, with integer entries")
+    pivots = []
+    prev = 1  # the last nonzero leading pivot, a leading principal minor
+    for k in range(n):
+        p = m[k][k]
+        if p < 0:
+            raise ValueError(f"negative pivot {Fraction(p, prev)} at index {k}: not PSD")
+        pivots.append(Fraction(p, prev))
+        if p == 0:
+            if any(m[i][k] for i in range(k + 1, n)):
+                raise ValueError(f"zero pivot with nonzero column at {k}: not PSD")
+            continue
+        for i in range(k + 1, n):
+            row, c = m[i], m[i][k]
+            for j in range(k + 1, i + 1):
+                row[j] = (p * row[j] - c * m[j][k]) // prev
+        prev = p
+    return pivots
 
 
 def lagrange_reduce(b1: IVec, b2: IVec) -> tuple[IVec, IVec, list[list[int]]]:
@@ -90,10 +78,12 @@ def closest_lattice_point(u: IVec, v: IVec, target: IVec) -> tuple[int, tuple[in
 
     The basis must be Lagrange-reduced (see ``lagrange_reduce``).  Returns
     (min squared distance, (x, y)) with x u + y v the minimizer, the least
-    (x, y) among ties.  With a reduced basis the minimizer's coefficients
-    differ from the real least-squares solution by less than 2 in each
-    coordinate, so scanning a window of integer offsets around it is
-    exhaustive.
+    (x, y) among ties.  A reduced basis makes the angle between u and v 60
+    to 120 degrees, so each cell {x, x+1} x {y, y+1} splits along its
+    shorter diagonal into two non-obtuse Delaunay triangles.  Each holds its
+    circumcenter, so every point of it is nearest to one of its corners.
+    The target lies in the cell of its floors (fx, fy), so its nearest
+    points, ties included, are among that cell's four corners.
     """
     (ux, uy), (vx, vy), (tx, ty) = u, v, target
     guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
@@ -101,14 +91,8 @@ def closest_lattice_point(u: IVec, v: IVec, target: IVec) -> tuple[int, tuple[in
     det = guu * gvv - guv * guv  # positive for independent u, v
     fx = (tu * gvv - tv * guv) // det
     fy = (guu * tv - guv * tu) // det
-    best: int | None = None
-    arg = (0, 0)
-    # (x, y) runs in increasing order, so a strict improvement keeps the least
-    for x in range(fx - 2, fx + 4):
-        for y in range(fy - 2, fy + 4):
-            dx, dy = x * ux + y * vx - tx, x * uy + y * vy - ty
-            dist = dx * dx + dy * dy
-            if best is None or dist < best:
-                best, arg = dist, (x, y)
-    assert best is not None
-    return best, arg
+    return min(
+        ((x * ux + y * vx - tx) ** 2 + (x * uy + y * vy - ty) ** 2, (x, y))
+        for x in (fx, fx + 1)
+        for y in (fy, fy + 1)
+    )

@@ -105,8 +105,10 @@ def charge_grid_scan(
     return Fraction(best, den * den), zeros
 
 
-def brute_closest(b1, b2, target) -> Fraction:
-    """Closest-lattice-point distance by an exhaustive coefficient scan.
+def brute_closest(b1, b2, target) -> tuple[Fraction, tuple[int, int]]:
+    """Closest lattice point by an exhaustive coefficient scan: (squared
+    distance, (x, y)) with x b1 + y b2 the minimizer, the least (x, y)
+    among ties.
 
     The origin is a lattice point, so the minimizer p satisfies |p| <= 2|t|;
     Cramer bounds its coefficients by |p| |b_other| / |det|, which gives a
@@ -128,9 +130,9 @@ def brute_closest(b1, b2, target) -> Fraction:
             dx = x * a + y * c - tx
             dy = x * b + y * d - ty
             dist = dx * dx + dy * dy
-            if best is None or dist < best:
-                best = dist
-    return Fraction(best, den * den)
+            if best is None or dist < best:  # increasing (x, y): keeps the least
+                best, arg = dist, (x, y)
+    return Fraction(best, den * den), arg
 
 
 def random_fraction(rng: random.Random, num: int = 12, den: int = 12) -> Fraction:
@@ -318,6 +320,34 @@ def nullspace(a) -> list[list[Fraction]]:
             v[pc] = -m[i][fc]
         basis.append(v)
     return basis
+
+
+def ldlt_psd(a) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Pivotless LDL^T factorization of a symmetric PSD matrix over Fraction.
+
+    Returns (L, d) with L unit lower triangular and a = L diag(d) L^T, all
+    pivots d[j] >= 0; reads the lower triangle only.  A zero pivot forces
+    the whole remaining column to vanish; a negative pivot or a nonzero
+    column under a zero pivot raises ValueError.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    assert all(len(row) == n for row in m)
+    lmat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        s = m[j][j] - sum(lmat[j][k] * lmat[j][k] * d[k] for k in range(j))
+        if s < 0:
+            raise ValueError(f"negative pivot {s} at index {j}: not PSD")
+        d[j] = s
+        for i in range(j + 1, n):
+            t = m[i][j] - sum(lmat[i][k] * lmat[j][k] * d[k] for k in range(j))
+            if s == 0:
+                if t != 0:
+                    raise ValueError(f"zero pivot with nonzero column at {j}: not PSD")
+            else:
+                lmat[i][j] = t / s
+    return lmat, d
 
 
 def determinant(a) -> Fraction:

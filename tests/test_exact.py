@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from kodlat import OutputTooLarge, ParseError, QC, format_rational, parse_rational
 from kodlat.exact import clear_denominators, from_scaled
-from kodlat.ratlinalg import (
-    closest_lattice_point,
-    lagrange_reduce,
-    ldlt_psd,
-    psd_pivots,
-)
-from oracles import brute_closest, nullspace
+from kodlat.ratlinalg import closest_lattice_point, lagrange_reduce, psd_pivots
+from oracles import brute_closest, ldlt_psd, nullspace
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -78,7 +73,13 @@ class TestLinalg:
             # PSD fails: zero pivot with nonzero column
             psd_pivots([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
 
+    def test_psd_pivots_reject_non_integer_entries(self):
+        with pytest.raises(ValueError):
+            psd_pivots([[Fraction(1, 2)]])
+        assert psd_pivots([[Fraction(4), 2], [2, Fraction(1)]]) == [4, 0]
+
     def test_ldlt_reconstructs(self):
+        """The Fraction LDL^T oracle factors its input."""
         a = [
             [Fraction(2), Fraction(-2)],
             [Fraction(-2), Fraction(2)],
@@ -90,6 +91,29 @@ class TestLinalg:
                 s = sum(lmat[i][k] * d[k] * lmat[j][k] for k in range(n))
                 assert s == a[i][j]
 
+    @given(st.data())
+    def test_psd_pivots_match_ldlt_oracle(self, data):
+        """On A^T A, rank-deficient ones included, and on copies with one
+        symmetric entry perturbed (often indefinite), the fraction-free
+        pivots equal the Fraction LDL^T pivots, or both raise."""
+        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=k, max_size=k))
+        m = [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            delta = data.draw(st.integers(-3, 3))
+            m[i][j] += delta
+            if i != j:
+                m[j][i] += delta
+        try:
+            expected = ldlt_psd(m)[1]
+        except ValueError:
+            with pytest.raises(ValueError):
+                psd_pivots(m)
+        else:
+            assert psd_pivots(m) == expected
+
     def test_nullspace(self):
         basis = nullspace([[Fraction(1), Fraction(1), Fraction(1)]])
         assert len(basis) == 2
@@ -98,11 +122,13 @@ class TestLinalg:
 
     @given(
         st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
-        st.integers(-20, 20), st.integers(-20, 20),
+        st.integers(-20, 20), st.integers(-20, 20), st.sampled_from((1, 2, 7)),
     )
-    def test_closest_point_matches_brute_force(self, a, b, c, d, tx, ty):
-        """Exact CVP agrees with a coefficient box scan (targets t/7, scaled by 7)."""
-        b1, b2 = (7 * a, 7 * b), (7 * c, 7 * d)
+    def test_closest_point_matches_brute_force(self, a, b, c, d, tx, ty, scale):
+        """Exact CVP agrees with a coefficient box scan, on the distance and on
+        the least minimizer among ties (targets t/scale, scaled by scale; at
+        scale 2 every lattice midpoint is a target, so ties are frequent)."""
+        b1, b2 = (scale * a, scale * b), (scale * c, scale * d)
         if a * d - b * c == 0:
             return
         target = (tx, ty)
@@ -113,7 +139,8 @@ class TestLinalg:
         # the same point in the original basis, through U
         x0, y0 = x * umat[0][0] + y * umat[1][0], x * umat[0][1] + y * umat[1][1]
         assert [x0 * p + y0 * q for p, q in zip(b1, b2)] == [t + e for t, e in zip(target, diff)]
-        assert dist == brute_closest(b1, b2, target)
+        assert dist == brute_closest(b1, b2, target)[0]
+        assert (dist, (x, y)) == brute_closest(u, v, target)
 
     @given(
         st.tuples(st.integers(-60, 60), st.integers(-60, 60)),

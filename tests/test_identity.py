@@ -52,6 +52,16 @@ PINNED = {
 }
 
 
+# the large curves, on the functions whose work grows with the root system
+LARGE_CURVES = ("IStar_8", "IIStar", "I_20")
+
+PINNED_LARGE = {
+    "membership": "78b03d98baa868c0fba93034a75db0265c08189cba872774f1e299ea8ec49d5d",
+    "min_root_modulus_witness": "cbbdfaba502d855fdac3dc474d4d35839ecd2a45b8c6f1c48ebce82d8bc61daf",
+    "support_form": "398d4ba425a85b8c1c16a06a372498bc36871d3e3b54ffbc8a5f98639466078c",
+}
+
+
 def _degenerate_charge(curve, rng) -> CentralCharge:
     """A charge whose cycle value is a real multiple of z0."""
     zc = random_charge(curve, rng)
@@ -66,6 +76,19 @@ def _degenerate_charge(curve, rng) -> CentralCharge:
     return CentralCharge(zc.z0, tuple(z))
 
 
+def _charges(curve, rng, random_, plus, vanishing, degenerate) -> list[CentralCharge]:
+    """Random charges, rotated and scaled plus-component charges, vanishing
+    charges and charges with a degenerate radical, in that order."""
+    charges = [random_charge(curve, rng) for _ in range(random_)]
+    for _ in range(plus):
+        zc = random_normalized_plus_charge(curve, rng, num=4, den=12)
+        w = random_qc(rng, 5, 5) or QC(1)
+        charges.append(CentralCharge(zc.z0 * w, tuple(v * w for v in zc.z)))
+    charges += [vanishing_charge(curve, rng)[0] for _ in range(vanishing)]
+    charges += [_degenerate_charge(curve, rng) for _ in range(degenerate)]
+    return charges
+
+
 def _corpus():
     """(curve, charge, class, word, generator) for 34 charges per curve:
     16 random, 12 rotated and scaled plus-component charges, 4 vanishing
@@ -74,14 +97,7 @@ def _corpus():
     items = []
     for label in CURVES:
         curve = curve_from_label(label)
-        charges = [random_charge(curve, rng) for _ in range(16)]
-        for _ in range(12):
-            zc = random_normalized_plus_charge(curve, rng, num=4, den=12)
-            w = random_qc(rng, 5, 5) or QC(1)
-            charges.append(CentralCharge(zc.z0 * w, tuple(v * w for v in zc.z)))
-        charges += [vanishing_charge(curve, rng)[0] for _ in range(4)]
-        charges += [_degenerate_charge(curve, rng) for _ in range(2)]
-        for zc in charges:
+        for zc in _charges(curve, rng, 16, 12, 4, 2):
             word = TwistWord(tuple(
                 TwistGenerator(rng.randint(1, curve.n), rng.randint(-4, 4))
                 for _ in range(rng.randint(0, 5))
@@ -126,13 +142,35 @@ FUNCTIONS = {
 
 
 @functools.cache
-def digests() -> dict[str, str]:
-    hashes = {name: hashlib.sha256() for name in FUNCTIONS}
-    for item in _corpus():
-        for name, fn in FUNCTIONS.items():
-            out = _outcome(lambda: fn(*item))
+def _large_corpus():
+    """(curve, charge, None, None, None) for 25 charges per curve on the
+    large curves: 12 random, 8 rotated and scaled plus-component charges, 3
+    vanishing and 2 with a degenerate radical."""
+    rng = random.Random(20232)
+    return [
+        (curve, zc, None, None, None)
+        for curve in map(curve_from_label, LARGE_CURVES)
+        for zc in _charges(curve, rng, 12, 8, 3, 2)
+    ]
+
+
+def _digests(items, names) -> dict[str, str]:
+    hashes = {name: hashlib.sha256() for name in names}
+    for item in items:
+        for name in names:
+            out = _outcome(lambda: FUNCTIONS[name](*item))
             hashes[name].update(json.dumps(out, sort_keys=True).encode() + b"\n")
     return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+@functools.cache
+def digests() -> dict[str, str]:
+    return _digests(_corpus(), FUNCTIONS)
+
+
+@functools.cache
+def large_digests() -> dict[str, str]:
+    return _digests(_large_corpus(), PINNED_LARGE)
 
 
 def test_corpus_size():
@@ -143,3 +181,13 @@ def test_corpus_size():
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_digest_pinned(name):
     assert digests()[name] == PINNED[name]
+
+
+def test_large_corpus_size():
+    items = _large_corpus()
+    assert len(items) == 75 and {c.id.label for c, *_ in items} == set(LARGE_CURVES)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LARGE))
+def test_large_digest_pinned(name):
+    assert large_digests()[name] == PINNED_LARGE[name]
