@@ -10,8 +10,10 @@ z_i = i, detected by the sign of the span determinant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -96,38 +98,77 @@ def _canonical_root_sign(delta: KClass) -> KClass:
     return delta
 
 
-def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
-    """(M^2, witness): least squared modulus of Z over all roots, in one pass.
+@lru_cache(maxsize=None)
+def _negative_roots(curve: KodairaCurve) -> tuple[tuple[KClass, int, int], ...]:
+    """The fundamental roots with every rank <= 0, in lexicographic order,
+    each as (root, p, j) with root = parent - e_j.
+
+    The parent is entry p, which comes later in the order, or 0 when p is
+    the length of the table (the simple root -e_j).  Every non-simple
+    positive root a has some a - e_j that is a root, so every entry has one.
+    """
+    roots = [w for w in fundamental_roots(curve) if all(r <= 0 for r in w.ranks)]
+    index = {w.ranks: i for i, w in enumerate(roots)}
+    index[(0,) * curve.n] = len(roots)
+    table = []
+    for w in roots:
+        for j, r in enumerate(w.ranks):
+            p = index.get(w.ranks[:j] + (r + 1,) + w.ranks[j + 1 :])
+            if p is not None:
+                table.append((w, p, j))
+                break
+    assert len(table) == len(roots), "a negative root without a parent"
+    return tuple(table)
+
+
+@lru_cache(maxsize=1)
+def _root_scan(
+    curve: KodairaCurve, zc: CentralCharge
+) -> tuple[int, Optional[Fraction], Optional[KClass]]:
+    """(det, M^2, witness): least squared modulus of Z over all roots, in one pass.
+
+    det is D^2 times ``orientation_det`` on the charge's integer form (its
+    values times their common denominator D); when it is 0 nothing is
+    scanned and M^2 and the witness are None.
 
     Every root is c ox + w0 + m cycle with w0 fundamental, so its values are
     the translates of Z(w0) by the rank-2 lattice spanned by z0 and
     Z(cycle), and per fundamental root the minimum is one closest-vector
-    problem in the plane.  Denominators are cleared once, so the scan runs
-    on integers scaled by their lcm D, and the lattice basis is reduced once.
-    Fundamental roots go in lexicographic order, a strictly smaller distance
-    replaces the witness, and a distance of 0 (a vanishing root) stops it.
+    problem in the plane, solved on integers with the basis reduced once.
+    That lattice is symmetric and Z(-w0) = -Z(w0), so w0 and -w0 are at the
+    same distance; every finite root has all ranks >= 0 or all <= 0, and -p
+    comes before p in lexicographic order.  The first root in that order to
+    reach the minimum is therefore one with ranks <= 0, and only those are
+    scanned, in the same order: a strictly smaller distance replaces the
+    witness, and a distance of 0 (a vanishing root) stops the scan.  The
+    targets Z(-w0) are filled from the ``_negative_roots`` parents, two
+    integer additions per root.
+
+    The last scan is memoized: ``support_form`` runs ``membership`` on the
+    charge its caller has usually just checked.
     """
     check_dimension(curve, zc.z, "charge")
-    den, (z0, *zs) = clear_denominators((zc.z0, *zc.z))
-
-    def scaled_value(ranks: tuple[int, ...]) -> tuple[int, int]:
-        re = im = 0
-        for r, (x, y) in zip(ranks, zs):
-            if r:
-                re += r * x
-                im += r * y
-        return re, im
-
+    den, zs = clear_denominators((zc.z0, *zc.z))
     rad = radical_basis(curve)
-    zrho = scaled_value(rad.cycle.ranks)
-    if z0[0] * zrho[1] - zrho[0] * z0[1] == 0:
-        raise DegenerateRadical("radical values do not span the plane")
+    z0 = zs[0]
+    zrho = (
+        sum(r * x for r, (x, _) in zip(rad.cycle.ranks, zs[1:])),
+        sum(r * y for r, (_, y) in zip(rad.cycle.ranks, zs[1:])),
+    )
+    det = z0[0] * zrho[1] - zrho[0] * z0[1]
+    if det == 0:
+        return 0, None, None
     u, v, umat = lagrange_reduce(z0, zrho)
+    table = _negative_roots(curve)
+    targets = [(0, 0)] * (len(table) + 1)  # the last one is Z(0)
+    for i in range(len(table) - 1, -1, -1):
+        _, p, j = table[i]
+        (re, im), (x, y) = targets[p], zs[j + 1]
+        targets[i] = (re + x, im + y)
     best: Optional[int] = None
     witness: Optional[KClass] = None
-    for w0 in fundamental_roots(curve):
-        re, im = scaled_value(w0.ranks)
-        dist, (x, y) = closest_lattice_point(u, v, (-re, -im))
+    for (w0, _, _), target in zip(table, targets):
+        dist, (x, y) = closest_lattice_point(u, v, target)
         if best is None or dist < best:
             best = dist
             # back to (z0, Z(cycle)) coordinates: reduced rows are umat times those
@@ -137,7 +178,15 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass
             if best == 0:
                 break
     assert best is not None and witness is not None
-    return Fraction(best, den * den), witness
+    return det, Fraction(best, den * den), witness
+
+
+def _scan_radical(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
+    """(M^2, witness) of the scan; raises DegenerateRadical when there is none."""
+    det, msq, witness = _root_scan(curve, zc)
+    if det == 0:
+        raise DegenerateRadical("radical values do not span the plane")
+    return msq, witness
 
 
 def vanishing_root(curve: KodairaCurve, zc: CentralCharge) -> Optional[KClass]:
@@ -147,7 +196,7 @@ def vanishing_root(curve: KodairaCurve, zc: CentralCharge) -> Optional[KClass]:
     order, whose translates reach 0, and is sign-normalized (first nonzero
     rank positive), which makes the result deterministic.
     """
-    msq, witness = _root_scan(curve, zc)
+    msq, witness = _scan_radical(curve, zc)
     return _canonical_root_sign(witness) if msq == 0 else None
 
 
@@ -158,7 +207,7 @@ def min_root_modulus_witness(
 
     Raises VanishingRoot when some root is sent to zero.
     """
-    msq, witness = _root_scan(curve, zc)
+    msq, witness = _scan_radical(curve, zc)
     if msq == 0:
         raise VanishingRoot(
             f"charge vanishes on the root {witness.to_dict()}"
@@ -205,11 +254,9 @@ class MembershipReport:
 
 def membership(curve: KodairaCurve, zc: CentralCharge) -> MembershipReport:
     """Assemble the validity report; never raises on a well-formed charge."""
-    check_dimension(curve, zc.z, "charge")
-    det = orientation_det(curve, zc)
+    det, msq, witness = _root_scan(curve, zc)
     if det == 0:
         return MembershipReport(False, False, None, Component.NOT_IN_P0, None)
-    msq, witness = _root_scan(curve, zc)
     if msq == 0:
         return MembershipReport(
             False, True, _canonical_root_sign(witness), Component.NOT_IN_P0, None
@@ -259,16 +306,23 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
 
     The work runs on the charge's integer form (values times their common
     denominator D, and best = M^2 D^2).  Each kernel vector comes from
-    Cramer's rule on two columns: it is det times the echelon one, with at
-    most three nonzero entries, so the restricted pairing is an integer
-    matrix and its pivots are divided by det^2.
+    Cramer's rule on the pivot columns 0 (z0 != 0) and q: for every other
+    column f it is u_f = det e_f - cross(f, q) e_0 + a_f e_q, det times the
+    echelon one, with det = cross(0, q) and a_f = -cross(0, f).  The point
+    class pairs trivially with everything, so with G the Gram matrix the
+    restricted pairing is the integer matrix
+
+        R[f][g] = det (det G[f][g] + a_g G[f][q]) + a_f (det G[q][g] + a_g G[q][q]).
+
+    det and every a_f are first divided by their gcd, which scales u_f
+    alike, R by its square and the pivots with it: the pivots of R over
+    (det / gcd)^2 are those of the echelon basis, on shorter integers.
     """
     report = membership(curve, zc)
     if not report.in_p0:
         raise NotInP0(f"charge is not valid: component {report.component.value}")
-    dim = curve.n + 1
     # coordinates: (chi, ranks); the point class pairs trivially with everything
-    gram = [[0] * dim] + [[0, *row] for row in curve.gram]
+    gram = [[0] * (curve.n + 1)] + [[0, *row] for row in curve.gram]
     den, zs = clear_denominators((zc.z0, *zc.z))
     best = int(report.min_modulus_sq * den * den)  # the scan's integer distance
     mat = [
@@ -280,17 +334,23 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
         return zs[a][0] * zs[b][1] - zs[a][1] * zs[b][0]
 
     # ker Z by Cramer's rule: z0 != 0 is the first pivot column, q the second
-    q = next(j for j in range(1, dim) if cross(0, j))
+    q = next(j for j in range(1, len(zs)) if cross(0, j))
+    free = [(f, -cross(0, f)) for f in range(1, len(zs)) if f != q]
     det = cross(0, q)
-    kernel = [
-        ((f, det), (0, -cross(f, q)), (q, -cross(0, f))) for f in range(1, dim) if f != q
-    ]
+    g = math.gcd(det, *(a for _, a in free))
+    det //= g
+    free = [(f, a // g) for f, a in free]
     # Z vanishes on its kernel, so there Q is the Euler pairing alone; ker Z meets
     # the radical only in 0, so that pairing is negative definite on it
-    restricted = [
-        [sum(x * gram[a][b] * y for a, x in u for b, y in w) for w in kernel] for u in kernel
+    gq = gram[q]
+    neg_restricted = [
+        [
+            -det * (det * gram[f][h] + ah * gram[f][q]) - af * (det * gq[h] + ah * gq[q])
+            for h, ah in free
+        ]
+        for f, af in free
     ]
-    pivots = psd_pivots([[-x for x in row] for row in restricted])
+    pivots = psd_pivots(neg_restricted)
     assert all(pivots)
     return SupportForm(
         matrix=tuple(tuple(row) for row in mat),

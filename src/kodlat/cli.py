@@ -5,6 +5,11 @@ is a single UTF-8 JSON document on stdout with sorted keys, so identical
 invocations are byte-identical.  On failure the entire output is the object
 {"code": ..., "message": ...} and the exit status is nonzero (2 for parse
 errors, 1 otherwise).
+
+Any other exception (a bug, or an interpreter limit such as RecursionError)
+is reported the same way, as {"code": "InternalError", "message": "<type>:
+<text>"}, with its own exit status 3.  --help shows the paragraphs above
+this one.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="kodlat", description=__doc__, add_help=True)
+    description = "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="kodlat", description=description, add_help=True)
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser)
 
     def add(verb, **kwargs):
@@ -254,6 +260,10 @@ def main(argv=None) -> int:
     except KodlatError as exc:
         print(json.dumps({"code": exc.code, "message": str(exc)}, sort_keys=True))
         return 1
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"code": "InternalError", "message": message}, sort_keys=True))
+        return 3
 
 
 if __name__ == "__main__":

@@ -91,8 +91,11 @@ def closest_lattice_point(u: IVec, v: IVec, target: IVec) -> tuple[int, tuple[in
     det = guu * gvv - guv * guv  # positive for independent u, v
     fx = (tu * gvv - tv * guv) // det
     fy = (guu * tv - guv * tu) // det
+    ox, oy = fx * ux + fy * vx - tx, fx * uy + fy * vy - ty  # corner (fx, fy) - target
+    px, py = ox + ux, oy + uy
     return min(
-        ((x * ux + y * vx - tx) ** 2 + (x * uy + y * vy - ty) ** 2, (x, y))
-        for x in (fx, fx + 1)
-        for y in (fy, fy + 1)
+        (ox * ox + oy * oy, (fx, fy)),
+        ((ox + vx) ** 2 + (oy + vy) ** 2, (fx, fy + 1)),
+        (px * px + py * py, (fx + 1, fy)),
+        ((px + vx) ** 2 + (py + vy) ** 2, (fx + 1, fy + 1)),
     )

@@ -135,6 +135,73 @@ def brute_closest(b1, b2, target) -> tuple[Fraction, tuple[int, int]]:
     return Fraction(best, den * den), arg
 
 
+def gauss_reduce(b1, b2):
+    """Gauss-Lagrange reduction of a plane lattice basis over Fraction, with
+    the library's conventions: swap while |b1| > |b2|, subtract the nearest
+    integer multiple (ties up), and track the unimodular U with
+    (c1, c2) = U (b1, b2) as rows.  These conventions fix the reduced basis,
+    and so the tie-break "least reduced coordinates" of the root scan."""
+    u, v = [Fraction(x) for x in b1], [Fraction(x) for x in b2]
+    rows = [[1, 0], [0, 1]]
+    while True:
+        if u[0] ** 2 + u[1] ** 2 > v[0] ** 2 + v[1] ** 2:
+            u, v = v, u
+            rows.reverse()
+        mu = math.floor((u[0] * v[0] + u[1] * v[1]) / (u[0] ** 2 + u[1] ** 2) + Fraction(1, 2))
+        if mu == 0:
+            return tuple(u), tuple(v), rows
+        v = [b - mu * a for a, b in zip(u, v)]
+        rows[1] = [b - mu * a for a, b in zip(rows[0], rows[1])]
+
+
+def full_root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
+    """(M^2, witness) over every fundamental root, both signs, in
+    lexicographic order: each root's translates are searched exhaustively
+    (``brute_closest`` in the reduced basis), a strictly smaller distance
+    replaces the witness, and a distance of 0 stops the scan.  The charge
+    must be radical independent."""
+    rad = radical_basis(curve)
+    zrho = evaluate(curve, zc, rad.cycle)
+    u, v, rows = gauss_reduce((zc.z0.re, zc.z0.im), (zrho.re, zrho.im))
+    best = witness = None
+    for w0 in fundamental_roots(curve):
+        val = evaluate(curve, zc, w0)
+        dist, (x, y) = brute_closest(u, v, (-val.re, -val.im))
+        if best is None or dist < best:
+            best = dist
+            c = x * rows[0][0] + y * rows[1][0]
+            m = x * rows[0][1] + y * rows[1][1]
+            witness = rad.skyscraper.scale(c) + w0 + rad.cycle.scale(m)
+            if best == 0:
+                break
+    return best, witness
+
+
+def cramer_kernel_pivots(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, ...]:
+    """The support form's kernel pivots, term by term: the Cramer kernel
+    vectors of Re Z = Im Z = 0 on the charge's integer form (no common
+    factor removed), the Euler pairing summed over their entries, and the
+    ``ldlt_psd`` pivots of its negative divided by det^2."""
+    values = (zc.z0, *zc.z)
+    den = _common_denominator([x for val in values for x in (val.re, val.im)])
+    zs = [(int(val.re * den), int(val.im * den)) for val in values]
+    gram = [[0] * len(zs)] + [[0, *row] for row in curve.gram]
+
+    def cross(a, b):
+        return zs[a][0] * zs[b][1] - zs[a][1] * zs[b][0]
+
+    q = next(j for j in range(1, len(zs)) if cross(0, j))
+    det = cross(0, q)
+    kernel = [
+        ((f, det), (0, -cross(f, q)), (q, -cross(0, f))) for f in range(1, len(zs)) if f != q
+    ]
+    restricted = [
+        [sum(x * gram[a][b] * y for a, x in u for b, y in w) for w in kernel] for u in kernel
+    ]
+    _, pivots = ldlt_psd([[-x for x in row] for row in restricted])
+    return tuple(d / (det * det) for d in pivots)
+
+
 def random_fraction(rng: random.Random, num: int = 12, den: int = 12) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 

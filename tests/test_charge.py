@@ -19,6 +19,7 @@ from kodlat import (
     curve_from_label,
     decompose_root,
     evaluate,
+    fundamental_roots,
     is_stability_function,
     membership,
     min_root_modulus,
@@ -31,9 +32,12 @@ from kodlat import (
     support_form,
     vanishing_root,
 )
+from kodlat import charge as charge_module
 from oracles import (
     charge_grid_scan,
+    cramer_kernel_pivots,
     determinant,
+    full_root_scan,
     nullspace,
     random_charge,
     random_class,
@@ -189,6 +193,54 @@ class TestMinRootModulus:
                     assert msq == grid_min
 
 
+SCAN_CURVES = ("I_2", "IV", "IStar_0", "IVStar", "IStar_8", "IIStar", "I_20")
+
+
+def _sign_normalized(delta: KClass) -> KClass:
+    first = next(r for r in delta.ranks if r)
+    return delta if first > 0 else -delta
+
+
+class TestRootScan:
+    """The scan over the ranks <= 0 half, with values from parents, against
+    a scan of every fundamental root with exhaustive closest vectors."""
+
+    @pytest.mark.parametrize("label", SCAN_CURVES)
+    def test_matches_full_scan(self, label):
+        curve = curve_from_label(label)
+        rng = random.Random(f"scan:{label}")
+        charges = [random_charge(curve, rng) for _ in range(4)]
+        charges += [random_charge(curve, rng, num=2, den=2) for _ in range(6)]  # tie-dense
+        charges += [vanishing_charge(curve, rng)[0] for _ in range(3)]
+        for zc in charges:
+            if not radical_independence(curve, zc):
+                with pytest.raises(DegenerateRadical):
+                    min_root_modulus_witness(curve, zc)
+                with pytest.raises(DegenerateRadical):
+                    vanishing_root(curve, zc)
+                continue
+            msq, witness = full_root_scan(curve, zc)
+            if msq == 0:
+                with pytest.raises(VanishingRoot):
+                    min_root_modulus_witness(curve, zc)
+                assert vanishing_root(curve, zc) == _sign_normalized(witness)
+            else:
+                assert min_root_modulus_witness(curve, zc) == (msq, witness)
+                assert vanishing_root(curve, zc) is None
+
+    @pytest.mark.parametrize("label", SCAN_CURVES + ("mI_3_2", "IIIStar"))
+    def test_table_is_the_negative_half_with_parents(self, label):
+        curve = curve_from_label(label)
+        table = charge_module._negative_roots(curve)
+        roots = fundamental_roots(curve)
+        assert [w for w, _, _ in table] == [w for w in roots if all(r <= 0 for r in w.ranks)]
+        assert 2 * len(table) == len(roots)
+        for i, (w, p, j) in enumerate(table):
+            assert i < p <= len(table)
+            parent = table[p][0].ranks if p < len(table) else (0,) * curve.n
+            assert parent == tuple(r + (t == j) for t, r in enumerate(w.ranks))
+
+
 class TestMembership:
     def test_reference_is_plus(self):
         for label in ("I_2", "mI_3_2", "III", "IStar_0", "IVStar"):
@@ -244,6 +296,59 @@ class TestMembership:
         after = membership(I2, scale_charge(zc, lam))
         assert before.component is after.component
         assert after.min_modulus_sq == before.min_modulus_sq * lam.abs2()
+
+
+class TestScanMemo:
+    """The last root scan is reused; a reuse must be invisible."""
+
+    def test_interleaved_calls_equal_fresh_ones(self):
+        rng = random.Random(97)
+        cases = [
+            (curve, random_charge(curve, rng, num=4, den=4))
+            for curve in (curve_from_label("IV"), curve_from_label("IStar_4"))
+            for _ in range(3)
+        ]
+        cases = [(curve, zc) for curve, zc in cases if membership(curve, zc).in_p0]
+        assert len(cases) >= 4
+        order = [(k, f) for k in range(len(cases)) for f in (membership, support_form)]
+        order += [(k, f) for k in reversed(range(len(cases))) for f in (support_form, membership)]
+        interleaved = [f(*cases[k]) for k, f in order]
+        fresh = []
+        for k, f in order:
+            charge_module._root_scan.cache_clear()
+            fresh.append(f(*cases[k]))
+        assert interleaved == fresh
+
+    def test_value_equal_charges_give_equal_reports(self):
+        curve = curve_from_label("IVStar")
+        texts = ("3/4,-3/2", "2,-2", "-1/2,0", "-1,-2/3", "0,3/2", "3/2,-4", "-1,1/4", "-2/3,3/4")
+        zc = charge(*texts)
+        same = CentralCharge(
+            QC(Fraction(6, 8), Fraction(-9, 6)), tuple(QC.parse(t) for t in texts[1:])
+        )
+        assert same == zc and same is not zc
+        assert membership(curve, zc) == membership(curve, same)
+        assert support_form(curve, zc) == support_form(curve, same)
+        charge_module._root_scan.cache_clear()
+        assert support_form(curve, same) == support_form(curve, zc)
+
+    def test_degenerate_still_raises_after_membership(self):
+        zc = charge("-1,0", "1,0", "1,0")
+        assert not membership(I2, zc).independent
+        with pytest.raises(DegenerateRadical):
+            vanishing_root(I2, zc)
+        with pytest.raises(DegenerateRadical):
+            min_root_modulus_witness(I2, zc)
+
+    def test_wrong_dimension_still_raises(self):
+        message = "charge has 1 component values, curve I_2 has 2"
+        short = charge("-1,0", "0,1")
+        for _ in range(2):
+            membership(I2, reference_charge(I2))
+            for f in (membership, vanishing_root, min_root_modulus_witness, support_form):
+                with pytest.raises(DimensionMismatch) as err:
+                    f(I2, short)
+                assert str(err.value) == message
 
 
 class TestSupportForm:
@@ -312,6 +417,33 @@ class TestSupportForm:
             assert form.kernel_pivots == tuple(
                 minors[k] / minors[k - 1] for k in range(1, len(minors))
             )
+
+    def test_kernel_pivots_match_term_by_term_oracle(self):
+        rng = random.Random(101)
+        checked = 0
+        for label in ("IVStar", "IStar_8", "IIStar", "I_20"):
+            curve = curve_from_label(label)
+            for _ in range(26):
+                zc = random_charge(curve, rng)
+                if membership(curve, zc).in_p0:
+                    checked += 1
+                    assert support_form(curve, zc).kernel_pivots == cramer_kernel_pivots(curve, zc)
+        assert checked >= 100
+
+    @given(
+        st.sampled_from(["I_2", "IV", "IStar_0", "IVStar"]),
+        st.integers(0, 10**6),
+        st.integers(-60, 60).filter(bool),
+        st.integers(1, 60),
+    )
+    def test_rational_rescaling_keeps_the_form(self, label, seed, p, q):
+        # Q = <,> + 2|Z|^2/M^2 and the echelon basis of ker Z are scale-invariant;
+        # an integer factor inflates the common factor the certificate divides out
+        curve = curve_from_label(label)
+        zc = random_charge(curve, random.Random(seed), num=6, den=6)
+        if not membership(curve, zc).in_p0:
+            return
+        assert support_form(curve, scale_charge(zc, QC(Fraction(p, q)))) == support_form(curve, zc)
 
     def test_kernel_pivots_pinned(self):
         zc = charge(

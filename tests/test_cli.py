@@ -11,6 +11,7 @@ import pytest
 
 import kodlat
 from kodlat import KClass, TwistWord, apply_word, curve_from_label
+from kodlat import cli
 from kodlat.cli import main
 
 TOO_LARGE = {
@@ -332,6 +333,22 @@ class TestOutputContract:
         assert status == 2 and data["code"] == "ParseError"
         status, data = run_cli(capsys, "check", "--curve", "I_2", "--z0", "-1,0", "--z", "0.5,1", "0,1")
         assert status == 2 and data["code"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "exc", [ZeroDivisionError("division by zero"), RecursionError("too deep")]
+    )
+    def test_internal_error_is_one_json_document(self, capsys, monkeypatch, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run", fail)
+        status = main(["catalog"])
+        out = capsys.readouterr().out
+        assert status == 3 and out.count("\n") == 1
+        assert json.loads(out) == {
+            "code": "InternalError",
+            "message": f"{type(exc).__name__}: {exc}",
+        }
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
     def test_help_is_one_json_document(self, argv):
