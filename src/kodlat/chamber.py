@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .catalog import KodairaCurve
 from .charge import CentralCharge, Component, membership

@@ -28,7 +28,7 @@ from .errors import (
 from .exact import QC, clear_denominators, format_rational
 from .kgroup import KClass, check_dimension, radical_basis
 from .ratlinalg import closest_lattice_point, lagrange_reduce, psd_pivots
-from .roots import fundamental_roots
+from .roots import positive_roots
 
 
 @dataclass(frozen=True)
@@ -103,22 +103,17 @@ def _negative_roots(curve: KodairaCurve) -> tuple[tuple[KClass, int, int], ...]:
     """The fundamental roots with every rank <= 0, in lexicographic order,
     each as (root, p, j) with root = parent - e_j.
 
-    The parent is entry p, which comes later in the order, or 0 when p is
-    the length of the table (the simple root -e_j).  Every non-simple
-    positive root a has some a - e_j that is a root, so every entry has one.
+    These are the negated ``positive_roots``: -(a + e_j) = (-a) - e_j, so
+    the parent of -b is -a, entry p, which comes later in the order; p is
+    the length of the table when the parent is 0 (the simple root -e_j).
     """
-    roots = [w for w in fundamental_roots(curve) if all(r <= 0 for r in w.ranks)]
-    index = {w.ranks: i for i, w in enumerate(roots)}
-    index[(0,) * curve.n] = len(roots)
-    table = []
-    for w in roots:
-        for j, r in enumerate(w.ranks):
-            p = index.get(w.ranks[:j] + (r + 1,) + w.ranks[j + 1 :])
-            if p is not None:
-                table.append((w, p, j))
-                break
-    assert len(table) == len(roots), "a negative root without a parent"
-    return tuple(table)
+    pos = positive_roots(curve)
+    neg = [tuple(-r for r in ranks) for ranks, _, _ in pos]
+    order = sorted(range(len(pos)), key=neg.__getitem__)
+    where = [len(pos)] * (len(pos) + 1)  # a parent p = -1 reads the last slot
+    for k, i in enumerate(order):
+        where[i] = k
+    return tuple((KClass(0, neg[i]), where[pos[i][1]], pos[i][2]) for i in order)
 
 
 @lru_cache(maxsize=1)

@@ -3,13 +3,13 @@
 Verbs: catalog, roots, pair, check, twist, reduce, walls, jh.  All output
 is a single UTF-8 JSON document on stdout with sorted keys, so identical
 invocations are byte-identical.  On failure the entire output is the object
-{"code": ..., "message": ...} and the exit status is nonzero (2 for parse
-errors, 1 otherwise).
+{"code": ..., "message": ...} and the exit status is nonzero: 2 for parse
+errors, 1 for the library's other coded errors, and 3 for an internal error.
+An internal error is any other exception (a bug, or an interpreter limit
+such as RecursionError), reported as {"code": "InternalError", "message":
+"<type>: <text>"}.
 
-Any other exception (a bug, or an interpreter limit such as RecursionError)
-is reported the same way, as {"code": "InternalError", "message": "<type>:
-<text>"}, with its own exit status 3.  --help shows the paragraphs above
-this one.
+--help shows the paragraphs above this one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .chamber import (
     NormalizedCharge,
     in_fundamental_chamber,
     jh_of_skyscraper,
-    normalize,
     reduce_to_fundamental,
     torsion_pair_data,
     wall_crossings_on_segment,

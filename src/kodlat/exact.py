@@ -59,7 +59,11 @@ def clear_denominators(values: tuple[QC, ...]) -> tuple[int, list[tuple[int, int
     """(D, pairs): D is the lcm of the denominators of the complex values,
     and pair j holds the integers D Re v_j and D Im v_j."""
     den = math.lcm(*(x.denominator for val in values for x in (val.re, val.im)))
-    return den, [(int(val.re * den), int(val.im * den)) for val in values]
+    return den, [
+        (val.re.numerator * (den // val.re.denominator),
+         val.im.numerator * (den // val.im.denominator))
+        for val in values
+    ]
 
 
 def from_scaled(den: int, pairs) -> tuple[QC, ...]:

@@ -6,8 +6,8 @@ The roots are the classes of self-pairing -2.  Every root splits uniquely as
 
 with w0 a fundamental root: a chi = 0 root whose coordinate at the curve's
 affine node vanishes.  The fundamental roots form the finite root system of
-the Dynkin diagram obtained by deleting the affine node, and are computed
-here by reflection closure from the unit classes of the non-affine nodes.
+the Dynkin diagram obtained by deleting the affine node, and are generated
+here by height from the unit classes of the non-affine nodes.
 """
 
 from __future__ import annotations
@@ -30,37 +30,39 @@ class RootDecomposition:
 
 
 @lru_cache(maxsize=None)
-def fundamental_roots(curve: KodairaCurve) -> tuple[KClass, ...]:
-    """All fundamental roots, lexicographically sorted by rank vector.
+def positive_roots(curve: KodairaCurve) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The positive fundamental roots in order of height, each as (ranks, p, j)
+    with ranks = entry p + e_j, and p = -1 for the simple root e_j.
 
-    Closure of the simple roots (unit classes away from the affine node)
-    under the simple reflections v -> v + <v, e_j> e_j.  Reflections in
-    non-affine nodes never touch the affine coordinate, so the closure stays
-    inside the affine-coordinate-zero slice.
+    Every finite diagram in the catalog is simply laced (the double edges
+    of I_2, mI_2_m and III touch the affine node), so a + e_j is a root
+    exactly when <a, e_j> = 1, and every positive root that is not simple
+    is such an a + e_j.  Each root carries its pairings with the unit
+    classes, and the list is read while it grows, height by height.
     """
     n = curve.n
-    affine = curve.affine_node
-    simple = [j for j in range(n) if j != affine]
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-    for j in simple:
-        for sign in (1, -1):
-            v = tuple(sign if t == j else 0 for t in range(n))
-            seen.add(v)
-            frontier.append(v)
-    while frontier:
-        v = frontier.pop()
+    simple = [j for j in range(n) if j != curve.affine_node]
+    out = [(tuple(int(t == j) for t in range(n)), -1, j) for j in simple]
+    pairings = [curve.gram[j] for j in simple]  # <entry p, e_t> for every node t
+    seen = {ranks for ranks, _, _ in out}
+    for p, (a, _, _) in enumerate(out):
+        pa = pairings[p]
         for j in simple:
-            coeff = sum(curve.gram[j][t] * v[t] for t in range(n))
-            if coeff == 0:
-                continue
-            w = list(v)
-            w[j] += coeff
-            wt = tuple(w)
-            if wt not in seen:
-                seen.add(wt)
-                frontier.append(wt)
-    return tuple(KClass(0, v) for v in sorted(seen))
+            if pa[j] == 1:
+                b = a[:j] + (a[j] + 1,) + a[j + 1 :]
+                if b not in seen:
+                    seen.add(b)
+                    out.append((b, p, j))
+                    pairings.append(tuple(x + g for x, g in zip(pa, curve.gram[j])))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def fundamental_roots(curve: KodairaCurve) -> tuple[KClass, ...]:
+    """All fundamental roots, lexicographically sorted by rank vector: the
+    positive roots of ``positive_roots`` and their negatives."""
+    pos = [ranks for ranks, _, _ in positive_roots(curve)]
+    return tuple(KClass(0, v) for v in sorted(pos + [tuple(-r for r in v) for v in pos]))
 
 
 def decompose_root(curve: KodairaCurve, delta: KClass) -> RootDecomposition:

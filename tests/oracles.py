@@ -1,9 +1,10 @@
 """Independent brute-force oracles and seeded generators for the tests.
 
-Everything here recomputes library quantities by a different route: naive
-product scans of rank boxes, integer grid scans over root translates, and
-plain quadratic minimization.  All exact; numpy is used only on int64 grids
-whose magnitudes are checked against overflow first.
+Everything here recomputes library quantities by a different route: the
+reflection closure of the simple roots, naive product scans of rank boxes,
+integer grid scans over root translates, and plain quadratic minimization.
+All exact; numpy is used only on int64 grids whose magnitudes are checked
+against overflow first.
 """
 
 from __future__ import annotations
@@ -27,6 +28,39 @@ from kodlat import (
 )
 
 GRID_GUARD = 3_000_000_000  # squares stay < 2^63 with two-term sums
+
+
+def closure_roots(curve: KodairaCurve) -> tuple[KClass, ...]:
+    """All fundamental roots, lexicographically sorted by rank vector.
+
+    Closure of the simple roots (unit classes away from the affine node)
+    under the simple reflections v -> v + <v, e_j> e_j.  Reflections in
+    non-affine nodes never touch the affine coordinate, so the closure stays
+    inside the affine-coordinate-zero slice.
+    """
+    n = curve.n
+    affine = curve.affine_node
+    simple = [j for j in range(n) if j != affine]
+    seen: set[tuple[int, ...]] = set()
+    frontier: list[tuple[int, ...]] = []
+    for j in simple:
+        for sign in (1, -1):
+            v = tuple(sign if t == j else 0 for t in range(n))
+            seen.add(v)
+            frontier.append(v)
+    while frontier:
+        v = frontier.pop()
+        for j in simple:
+            coeff = sum(curve.gram[j][t] * v[t] for t in range(n))
+            if coeff == 0:
+                continue
+            w = list(v)
+            w[j] += coeff
+            wt = tuple(w)
+            if wt not in seen:
+                seen.add(wt)
+                frontier.append(wt)
+    return tuple(KClass(0, v) for v in sorted(seen))
 
 
 def naive_box_roots(curve: KodairaCurve, bound: int) -> set[tuple[int, ...]]:
@@ -155,8 +189,8 @@ def gauss_reduce(b1, b2):
 
 
 def full_root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
-    """(M^2, witness) over every fundamental root, both signs, in
-    lexicographic order: each root's translates are searched exhaustively
+    """(M^2, witness) over every fundamental root of ``closure_roots``,
+    both signs, in lexicographic order: each root's translates are searched exhaustively
     (``brute_closest`` in the reduced basis), a strictly smaller distance
     replaces the witness, and a distance of 0 stops the scan.  The charge
     must be radical independent."""
@@ -164,7 +198,7 @@ def full_root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KC
     zrho = evaluate(curve, zc, rad.cycle)
     u, v, rows = gauss_reduce((zc.z0.re, zc.z0.im), (zrho.re, zrho.im))
     best = witness = None
-    for w0 in fundamental_roots(curve):
+    for w0 in closure_roots(curve):
         val = evaluate(curve, zc, w0)
         dist, (x, y) = brute_closest(u, v, (-val.re, -val.im))
         if best is None or dist < best:

@@ -104,7 +104,7 @@ CASES = {
 }
 
 PINNED = {
-    "usage": "6a743d867a10aef4d520f5656bbc247c13c62925887ac61c1d29f156db2c84fc",
+    "usage": "d551d40d9b55f1cb4ead3d67f0b2c40efefc1977d099582662fa51bcd7e86f96",
     "catalog": "faf790cc5bf39ad529f98ea97d1e68afa86e7093e439da3a628336216d3e05cc",
     "roots": "2bc54a910a812908fec4082a70e3f93db029df6cca9cfb31b9135519e8e2a887",
     "pair": "905065c3a0b769c943cc4d0751da22120d67ea7acf7fb4ee1d5d900daf554c8a",

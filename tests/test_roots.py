@@ -1,4 +1,4 @@
-"""Root systems: reflection closure, coset decomposition, box enumeration."""
+"""Root systems: generation by height, coset decomposition, box enumeration."""
 
 import pytest
 
@@ -13,7 +13,8 @@ from kodlat import (
     pair,
     radical_basis,
 )
-from oracles import coset_box_roots, naive_box_roots
+from kodlat.roots import positive_roots
+from oracles import closure_roots, coset_box_roots, naive_box_roots
 
 COUNTS = {
     "I_2": 2,
@@ -52,6 +53,41 @@ def test_fundamental_root_counts(label, count):
 def test_pinned_i2_fundamental_roots():
     i2 = curve_from_label("I_2")
     assert [w.ranks for w in fundamental_roots(i2)] == [(-1, 0), (1, 0)]
+
+
+CLOSURE_CURVES = (
+    "III", "IV", "I_2", "mI_3_2", "IStar_0", "IStar_8", "IVStar", "IIIStar", "IIStar", "I_20",
+)
+
+
+class TestGenerationByHeight:
+    @pytest.mark.parametrize("label", CLOSURE_CURVES)
+    def test_matches_reflection_closure(self, label):
+        curve = curve_from_label(label)
+        assert fundamental_roots(curve) == closure_roots(curve)
+
+    @pytest.mark.parametrize(
+        "label,count", [("I_60", 60 * 59), ("I_100", 100 * 99), ("IStar_40", 2 * 44 * 43)]
+    )
+    def test_closed_form_counts(self, label, count):
+        """N(N-1) roots for I_N, and 2m(m-1) with m = N+4 for IStar_N."""
+        assert 2 * len(positive_roots(curve_from_label(label))) == count
+
+    @pytest.mark.parametrize("label", CLOSURE_CURVES)
+    def test_entries_are_parent_plus_e_j(self, label):
+        curve = curve_from_label(label)
+        entries = positive_roots(curve)
+        heights = [sum(ranks) for ranks, _, _ in entries]
+        assert heights == sorted(heights)
+        for i, (ranks, p, j) in enumerate(entries):
+            assert -1 <= p < i and j != curve.affine_node
+            unit = KClass(0, tuple(int(t == j) for t in range(curve.n)))
+            if p == -1:
+                assert ranks == unit.ranks
+                continue
+            parent = KClass(0, entries[p][0])
+            assert KClass(0, ranks) == parent + unit
+            assert pair(curve, parent, unit) == 1
 
 
 class TestBoxEnumeration:
