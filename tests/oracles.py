@@ -190,10 +190,10 @@ def gauss_reduce(b1, b2):
 
 def full_root_scan(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
     """(M^2, witness) over every fundamental root of ``closure_roots``,
-    both signs, in lexicographic order: each root's translates are searched exhaustively
-    (``brute_closest`` in the reduced basis), a strictly smaller distance
-    replaces the witness, and a distance of 0 stops the scan.  The charge
-    must be radical independent."""
+    both signs, in lexicographic order: each root's translates are searched
+    exhaustively (``brute_closest`` in the reduced basis), a strictly
+    smaller distance replaces the witness, and a distance of 0 stops the
+    scan.  The charge must be radical independent."""
     rad = radical_basis(curve)
     zrho = evaluate(curve, zc, rad.cycle)
     u, v, rows = gauss_reduce((zc.z0.re, zc.z0.im), (zrho.re, zrho.im))
