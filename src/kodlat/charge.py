@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import KodairaCurve
 from .errors import (
@@ -27,8 +27,8 @@ from .errors import (
 )
 from .exact import QC, clear_denominators, format_rational
 from .kgroup import KClass, check_dimension, radical_basis
-from .ratlinalg import closest_lattice_point, lagrange_reduce, psd_pivots
-from .roots import positive_roots
+from .ratlinalg import lagrange_reduce, nearest_corner, psd_pivots
+from .roots import fundamental_roots, positive_roots
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,8 @@ def _negative_roots(curve: KodairaCurve) -> tuple[tuple[KClass, int, int], ...]:
     These are the negated ``positive_roots``: -(a + e_j) = (-a) - e_j, so
     the parent of -b is -a, entry p, which comes later in the order; p is
     the length of the table when the parent is 0 (the simple root -e_j).
+    Every root with all ranks <= 0 sorts before every positive one, so the
+    classes are the first half of ``fundamental_roots``, shared with it.
     """
     pos = positive_roots(curve)
     neg = [tuple(-r for r in ranks) for ranks, _, _ in pos]
@@ -113,18 +115,59 @@ def _negative_roots(curve: KodairaCurve) -> tuple[tuple[KClass, int, int], ...]:
     where = [len(pos)] * (len(pos) + 1)  # a parent p = -1 reads the last slot
     for k, i in enumerate(order):
         where[i] = k
-    return tuple((KClass(0, neg[i]), where[pos[i][1]], pos[i][2]) for i in order)
+    roots = fundamental_roots(curve)
+    return tuple((roots[k], where[pos[i][1]], pos[i][2]) for k, i in enumerate(order))
 
 
-@lru_cache(maxsize=1)
-def _root_scan(
-    curve: KodairaCurve, zc: CentralCharge
-) -> tuple[int, Optional[Fraction], Optional[KClass]]:
-    """(det, M^2, witness): least squared modulus of Z over all roots, in one pass.
+class _Scan(NamedTuple):
+    """A root scan's result with the charge's integer form (see ``_root_scan``)."""
 
-    det is D^2 times ``orientation_det`` on the charge's integer form (its
-    values times their common denominator D); when it is 0 nothing is
-    scanned and M^2 and the witness are None.
+    det: int
+    msq: Optional[Fraction]
+    witness: Optional[KClass]
+    den: int
+    pairs: list[tuple[int, int]]
+    best: Optional[int]
+
+
+def _memo_last(scan):
+    """A one-entry memo for ``scan(curve, zc)``.
+
+    It hits when the curve is the last one (identity; ``curve_from_label``
+    gives one object per label) and the charge is the last one, by identity
+    or else by equality, so no ``Fraction`` is hashed.  ``cache_clear``
+    empties it.
+    """
+    last = (None, None, None)  # curve, charge, result: replaced whole, read once
+
+    @wraps(scan)
+    def memo(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
+        nonlocal last
+        last_curve, last_zc, result = last
+        if curve is last_curve and (zc is last_zc or zc == last_zc):
+            return result
+        result = scan(curve, zc)
+        last = curve, zc, result
+        return result
+
+    def cache_clear() -> None:
+        nonlocal last
+        last = (None, None, None)
+
+    memo.cache_clear = cache_clear
+    return memo
+
+
+@_memo_last
+def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
+    """(det, M^2, witness): least squared modulus of Z over all roots, in one
+    pass, with the charge's integer form.
+
+    The integer form is (D, pairs): D is the common denominator of the
+    charge's values and pair j holds D times value j (z0 first).  det is D^2
+    times ``orientation_det``; when it is 0 nothing is scanned and M^2, the
+    witness and best are None.  Otherwise best = M^2 D^2 is the scan's
+    integer minimum.
 
     Every root is c ox + w0 + m cycle with w0 fundamental, so its values are
     the translates of Z(w0) by the rank-2 lattice spanned by z0 and
@@ -135,12 +178,17 @@ def _root_scan(
     comes before p in lexicographic order.  The first root in that order to
     reach the minimum is therefore one with ranks <= 0, and only those are
     scanned, in the same order: a strictly smaller distance replaces the
-    witness, and a distance of 0 (a vanishing root) stops the scan.  The
-    targets Z(-w0) are filled from the ``_negative_roots`` parents, two
-    integer additions per root.
+    best one, and a distance of 0 (a vanishing root) stops the scan.  The
+    witness is built once, from the winning root and lattice point.
 
-    The last scan is memoized: ``support_form`` runs ``membership`` on the
-    charge its caller has usually just checked.
+    The reduced basis's Gram entries and determinant are computed once per
+    charge.  The targets Z(-w0) are filled from the ``_negative_roots``
+    parents, two integer additions per root, and so are the floor numerators
+    of ``ratlinalg.nearest_corner``, which are linear in the target.
+
+    The last scan is memoized (see ``_memo_last``): ``support_form`` reads
+    the scan of the charge its caller has usually just checked, integer
+    form included.
     """
     check_dimension(curve, zc.z, "charge")
     den, zs = clear_denominators((zc.z0, *zc.z))
@@ -152,36 +200,42 @@ def _root_scan(
     )
     det = z0[0] * zrho[1] - zrho[0] * z0[1]
     if det == 0:
-        return 0, None, None
-    u, v, umat = lagrange_reduce(z0, zrho)
+        return _Scan(0, None, None, den, zs, None)
+    (ux, uy), (vx, vy), umat = lagrange_reduce(z0, zrho)
+    guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
+    gdet = guu * gvv - guv * guv
+    # a target t's floor numerators are t.(ru, rv) and t.(su, sv)
+    ru, rv = ux * gvv - vx * guv, uy * gvv - vy * guv
+    su, sv = guu * vx - guv * ux, guu * vy - guv * uy
+    steps = [(x, y, x * ru + y * rv, x * su + y * sv) for x, y in zs[1:]]
     table = _negative_roots(curve)
-    targets = [(0, 0)] * (len(table) + 1)  # the last one is Z(0)
+    fill = [(0, 0, 0, 0)] * (len(table) + 1)  # the last one is Z(0)
     for i in range(len(table) - 1, -1, -1):
         _, p, j = table[i]
-        (re, im), (x, y) = targets[p], zs[j + 1]
-        targets[i] = (re + x, im + y)
+        (tx, ty, nx, ny), (x, y, mx, my) = fill[p], steps[j]
+        fill[i] = (tx + x, ty + y, nx + mx, ny + my)
+    fill.pop()
     best: Optional[int] = None
-    witness: Optional[KClass] = None
-    for (w0, _, _), target in zip(table, targets):
-        dist, (x, y) = closest_lattice_point(u, v, target)
+    for i, (tx, ty, nx, ny) in enumerate(fill):
+        dist, x, y = nearest_corner(ux, uy, vx, vy, gdet, tx, ty, nx, ny)
         if best is None or dist < best:
-            best = dist
-            # back to (z0, Z(cycle)) coordinates: reduced rows are umat times those
-            c = x * umat[0][0] + y * umat[1][0]
-            m = x * umat[0][1] + y * umat[1][1]
-            witness = rad.skyscraper.scale(c) + w0 + rad.cycle.scale(m)
-            if best == 0:
+            best, win = dist, (i, x, y)
+            if dist == 0:
                 break
-    assert best is not None and witness is not None
-    return det, Fraction(best, den * den), witness
+    i, x, y = win
+    # back to (z0, Z(cycle)) coordinates: reduced rows are umat times those
+    c = x * umat[0][0] + y * umat[1][0]
+    m = x * umat[0][1] + y * umat[1][1]
+    witness = rad.skyscraper.scale(c) + table[i][0] + rad.cycle.scale(m)
+    return _Scan(det, Fraction(best, den * den), witness, den, zs, best)
 
 
 def _scan_radical(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:
     """(M^2, witness) of the scan; raises DegenerateRadical when there is none."""
-    det, msq, witness = _root_scan(curve, zc)
-    if det == 0:
+    scan = _root_scan(curve, zc)
+    if scan.det == 0:
         raise DegenerateRadical("radical values do not span the plane")
-    return msq, witness
+    return scan.msq, scan.witness
 
 
 def vanishing_root(curve: KodairaCurve, zc: CentralCharge) -> Optional[KClass]:
@@ -249,15 +303,15 @@ class MembershipReport:
 
 def membership(curve: KodairaCurve, zc: CentralCharge) -> MembershipReport:
     """Assemble the validity report; never raises on a well-formed charge."""
-    det, msq, witness = _root_scan(curve, zc)
-    if det == 0:
+    scan = _root_scan(curve, zc)
+    if scan.det == 0:
         return MembershipReport(False, False, None, Component.NOT_IN_P0, None)
-    if msq == 0:
+    if scan.best == 0:
         return MembershipReport(
-            False, True, _canonical_root_sign(witness), Component.NOT_IN_P0, None
+            False, True, _canonical_root_sign(scan.witness), Component.NOT_IN_P0, None
         )
-    component = Component.PLUS if det < 0 else Component.MINUS
-    return MembershipReport(True, True, None, component, msq)
+    component = Component.PLUS if scan.det < 0 else Component.MINUS
+    return MembershipReport(True, True, None, component, scan.msq)
 
 
 @dataclass(frozen=True)
@@ -299,8 +353,9 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     and nonnegative on every root, which holds by construction since M^2 is
     the exact minimum of |Z|^2 on roots.  Raises NotInP0 on invalid charges.
 
-    The work runs on the charge's integer form (values times their common
-    denominator D, and best = M^2 D^2).  Each kernel vector comes from
+    The work runs on the charge's integer form, read from the root scan
+    with its integer minimum: values times their common denominator D, and
+    best = M^2 D^2.  Each kernel vector comes from
     Cramer's rule on the pivot columns 0 (z0 != 0) and q: for every other
     column f it is u_f = det e_f - cross(f, q) e_0 + a_f e_q, det times the
     echelon one, with det = cross(0, q) and a_f = -cross(0, f).  The point
@@ -313,13 +368,12 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     alike, R by its square and the pivots with it: the pivots of R over
     (det / gcd)^2 are those of the echelon basis, on shorter integers.
     """
-    report = membership(curve, zc)
-    if not report.in_p0:
-        raise NotInP0(f"charge is not valid: component {report.component.value}")
+    scan = _root_scan(curve, zc)
+    if not scan.best:  # radical values dependent (None), or a vanishing root (0)
+        raise NotInP0(f"charge is not valid: component {Component.NOT_IN_P0.value}")
+    zs, best = scan.pairs, scan.best
     # coordinates: (chi, ranks); the point class pairs trivially with everything
     gram = [[0] * (curve.n + 1)] + [[0, *row] for row in curve.gram]
-    den, zs = clear_denominators((zc.z0, *zc.z))
-    best = int(report.min_modulus_sq * den * den)  # the scan's integer distance
     mat = [
         [Fraction(g * best + 2 * (ra * rb + ia * ib), best) for g, (rb, ib) in zip(row, zs)]
         for row, (ra, ia) in zip(gram, zs)

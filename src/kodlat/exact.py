@@ -48,9 +48,7 @@ def format_rational(x: Fraction) -> str:
     OutputTooLarge.
     """
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)  # Fraction prints "p/q", or "p" over 1
     except ValueError as exc:
         raise OutputTooLarge() from exc
 

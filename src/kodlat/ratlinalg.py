@@ -78,24 +78,51 @@ def closest_lattice_point(u: IVec, v: IVec, target: IVec) -> tuple[int, tuple[in
 
     The basis must be Lagrange-reduced (see ``lagrange_reduce``).  Returns
     (min squared distance, (x, y)) with x u + y v the minimizer, the least
-    (x, y) among ties.  A reduced basis makes the angle between u and v 60
-    to 120 degrees, so each cell {x, x+1} x {y, y+1} splits along its
-    shorter diagonal into two non-obtuse Delaunay triangles.  Each holds its
-    circumcenter, so every point of it is nearest to one of its corners.
-    The target lies in the cell of its floors (fx, fy), so its nearest
-    points, ties included, are among that cell's four corners.
+    (x, y) among ties.  The cell of the target is found from its floor
+    numerators, and ``nearest_corner`` picks the corner.
     """
     (ux, uy), (vx, vy), (tx, ty) = u, v, target
     guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
     tu, tv = tx * ux + ty * uy, tx * vx + ty * vy
-    det = guu * gvv - guv * guv  # positive for independent u, v
-    fx = (tu * gvv - tv * guv) // det
-    fy = (guu * tv - guv * tu) // det
-    ox, oy = fx * ux + fy * vx - tx, fx * uy + fy * vy - ty  # corner (fx, fy) - target
-    px, py = ox + ux, oy + uy
-    return min(
-        (ox * ox + oy * oy, (fx, fy)),
-        ((ox + vx) ** 2 + (oy + vy) ** 2, (fx, fy + 1)),
-        (px * px + py * py, (fx + 1, fy)),
-        ((px + vx) ** 2 + (py + vy) ** 2, (fx + 1, fy + 1)),
+    dist, x, y = nearest_corner(
+        ux, uy, vx, vy, guu * gvv - guv * guv, tx, ty, tu * gvv - tv * guv, guu * tv - guv * tu
     )
+    return dist, (x, y)
+
+
+def nearest_corner(
+    ux: int, uy: int, vx: int, vy: int, det: int, tx: int, ty: int, nx: int, ny: int
+) -> tuple[int, int, int]:
+    """(min squared distance, x, y): the closest point x u + y v to the target
+    (tx, ty), the least (x, y) among ties, for a Lagrange-reduced basis u, v.
+
+    det is the Gram determinant |u|^2 |v|^2 - <u,v>^2 (positive for
+    independent u, v), and (nx, ny) are the target's floor numerators
+    <t,u> |v|^2 - <t,v> <u,v> and |u|^2 <t,v> - <u,v> <t,u>: its coordinates
+    in the basis are (nx, ny) / det.  They are linear in the target, so a
+    caller with many targets can fill them by additions.
+
+    A reduced basis makes the angle between u and v 60 to 120 degrees, so
+    each cell {x, x+1} x {y, y+1} splits along its shorter diagonal into two
+    non-obtuse Delaunay triangles.  Each holds its circumcenter, so every
+    point of it is nearest to one of its corners.  The target lies in the
+    cell of its floors (fx, fy), so its nearest points, ties included, are
+    among that cell's four corners.  They are visited in increasing (x, y)
+    order, and only a strictly smaller distance replaces the best one.
+    """
+    fx, fy = nx // det, ny // det
+    ox, oy = fx * ux + fy * vx - tx, fx * uy + fy * vy - ty  # corner (fx, fy) - target
+    best, x, y = ox * ox + oy * oy, fx, fy
+    px, py = ox + vx, oy + vy
+    dist = px * px + py * py
+    if dist < best:
+        best, y = dist, fy + 1
+    px, py = ox + ux, oy + uy
+    dist = px * px + py * py
+    if dist < best:
+        best, x, y = dist, fx + 1, fy
+    px, py = px + vx, py + vy
+    dist = px * px + py * py
+    if dist < best:
+        best, x, y = dist, fx + 1, fy + 1
+    return best, x, y

@@ -236,6 +236,13 @@ def cramer_kernel_pivots(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fracti
     return tuple(d / (det * det) for d in pivots)
 
 
+def rational_text(x: Fraction) -> str:
+    """"p/q", or "p" when the denominator is 1, spelled out from the parts."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def random_fraction(rng: random.Random, num: int = 12, den: int = 12) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 

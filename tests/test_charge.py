@@ -1,6 +1,7 @@
 """Charge validity: independence, vanishing roots, minimal modulus, support form."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,7 @@ class TestRootScan:
         roots = fundamental_roots(curve)
         assert [w for w, _, _ in table] == [w for w in roots if all(r <= 0 for r in w.ranks)]
         assert 2 * len(table) == len(roots)
+        assert all(w is roots[i] for i, (w, _, _) in enumerate(table))  # shared classes
         for i, (w, p, j) in enumerate(table):
             assert i < p <= len(table)
             parent = table[p][0].ranks if p < len(table) else (0,) * curve.n
@@ -331,6 +333,38 @@ class TestScanMemo:
         assert support_form(curve, zc) == support_form(curve, same)
         charge_module._root_scan.cache_clear()
         assert support_form(curve, same) == support_form(curve, zc)
+
+    def test_same_charge_on_two_curves_is_scanned_on_each(self):
+        """IStar_0 and I_5 both have 5 components, so one charge object fits
+        either; the memo must not hand one curve's scan to the other."""
+        curves = (curve_from_label("IStar_0"), curve_from_label("I_5"))
+        rng = random.Random(41)
+        charges = [random_charge(curves[0], rng, num=3, den=3) for _ in range(6)]
+        charges = [zc for zc in charges if all(membership(c, zc).in_p0 for c in curves)]
+        assert len(charges) >= 3
+        order = [(zc, c, f) for zc in charges for c in curves for f in (membership, support_form)]
+        interleaved = [f(c, zc) for zc, c, f in order]
+        fresh = []
+        for zc, c, f in order:
+            charge_module._root_scan.cache_clear()
+            fresh.append(f(c, zc))
+        assert interleaved == fresh
+        assert any(fresh[4 * k] != fresh[4 * k + 2] for k in range(len(charges)))
+
+    def test_every_cache_clear_takes_no_arguments(self):
+        """The benchmark empties the library's caches by calling every module
+        attribute's ``cache_clear``; a class with a ``cache_clear`` method
+        would raise TypeError there."""
+        import kodlat.cli  # noqa: F401  (imports every module of the library)
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "kodlat"]
+        clears = [
+            obj.cache_clear for mod in modules for obj in vars(mod).values()
+            if hasattr(obj, "cache_clear")
+        ]
+        assert charge_module._root_scan.cache_clear in clears
+        for clear in clears:
+            clear()
 
     def test_degenerate_still_raises_after_membership(self):
         zc = charge("-1,0", "1,0", "1,0")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kodlat import OutputTooLarge, ParseError, QC, format_rational, parse_rational
 from kodlat.exact import clear_denominators, from_scaled
 from kodlat.ratlinalg import closest_lattice_point, lagrange_reduce, psd_pivots
-from oracles import brute_closest, ldlt_psd, nullspace
+from oracles import brute_closest, ldlt_psd, nullspace, rational_text
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -35,6 +35,10 @@ class TestRationals:
     def test_format_past_digit_limit_is_output_too_large(self):
         with pytest.raises(OutputTooLarge, match="integer conversion limit"):
             format_rational(Fraction(1, 3 ** 10000))
+
+    @given(st.fractions() | st.integers().map(Fraction))
+    def test_format_matches_numerator_and_denominator(self, x):
+        assert format_rational(x) == rational_text(x)
 
     @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5))
     def test_clear_denominators_round_trip(self, parts):
@@ -141,6 +145,13 @@ class TestLinalg:
         assert [x0 * p + y0 * q for p, q in zip(b1, b2)] == [t + e for t, e in zip(target, diff)]
         assert dist == brute_closest(b1, b2, target)[0]
         assert (dist, (x, y)) == brute_closest(u, v, target)
+
+    def test_tie_between_the_off_diagonal_corners(self):
+        """With <u,v> > 0 the cell's centre is as near to (1, 0) as to (0, 1),
+        and nearer than to (0, 0) and (1, 1); the least, (0, 1), is kept."""
+        u, v, _ = lagrange_reduce((6, 0), (2, 6))
+        assert (u, v) == ((6, 0), (2, 6))
+        assert closest_lattice_point(u, v, (4, 3)) == (13, (0, 1)) == brute_closest(u, v, (4, 3))
 
     @given(
         st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
