@@ -17,19 +17,19 @@ from enum import Enum
 from fractions import Fraction
 
 from .catalog import KodairaCurve
-from .charge import CentralCharge, Component, membership
+from .charge import CentralCharge, Component, _root_scan, membership
 from .errors import (
     CornerOnPath,
     DegenerateCharge,
     EndpointOnWall,
-    IndexOutOfRange,
     InvalidParams,
     NotGeneral,
     NotPlusComponent,
     StepLimitExceeded,
 )
 from .exact import QC, clear_denominators, format_rational, from_scaled
-from .kgroup import KClass, check_dimension, line_bundle_class
+from .kgroup import KClass, check_dimension, check_index, line_bundle_class, radical_basis
+from .roots import positive_roots
 from .twist import TwistGenerator, TwistWord, reflect_scaled
 
 
@@ -50,13 +50,24 @@ class NormalizedCharge:
         return cls(tuple(QC.from_pair(p) for p in data["z"]))
 
 
+def _normalized_pairs(pairs) -> tuple[int, list[tuple[int, int]]]:
+    """(D, pairs) of the values -z_j / z0 from integer pairs (z0 first, nonzero)
+    over any denominator, which cancels: z_j = (x, y) and z0 = (a, b) give
+    (-(xa + yb), -(ya - xb)) over a^2 + b^2, and dividing all by their gcd
+    gives the lcm D and the pairs of ``clear_denominators``."""
+    (a, b), *zs = pairs
+    nums = [(-(x * a + y * b), -(y * a - x * b)) for x, y in zs]
+    g = math.gcd(a * a + b * b, *(v for pair in nums for v in pair))
+    return (a * a + b * b) // g, [(x // g, y // g) for x, y in nums]
+
+
 def normalize(curve: KodairaCurve, zc: CentralCharge) -> NormalizedCharge:
-    """Multiply all values by -1/z0; requires z0 != 0."""
+    """Multiply all values by -1/z0, on integers; requires z0 != 0."""
     check_dimension(curve, zc.z, "charge")
     if not zc.z0:
         raise DegenerateCharge("point value is zero, cannot normalize")
-    factor = QC(-1) / zc.z0
-    return NormalizedCharge(tuple(v * factor for v in zc.z))
+    _, pairs = clear_denominators((zc.z0, *zc.z))
+    return NormalizedCharge(from_scaled(*_normalized_pairs(pairs)))
 
 
 class Position(str, Enum):
@@ -137,6 +148,22 @@ class ReductionTrace:
         }
 
 
+def _walk_length(curve: KodairaCurve, zs: list[tuple[int, int]]) -> int:
+    """Steps of the greedy walk from the integer pairs of a normalized plus
+    charge: one per positive affine root with Im Z < 0.  With s = Im Z(r)
+    for a positive root r and level = Im Z(cycle) > 0, r + m cycle counts
+    for 0 <= m < -s / level and -r + m cycle for 1 <= m < s / level."""
+    ys = [y for _, y in zs]
+    level = sum(c * y for c, y in zip(radical_basis(curve).cycle.ranks, ys))
+    roots = positive_roots(curve)
+    sums = [0] * (len(roots) + 1)  # a parent p = -1 reads the last slot, 0
+    count = 0
+    for i, (_, p, j) in enumerate(roots):
+        sums[i] = s = sums[p] + ys[j]
+        count += -(s // level) if s <= 0 else (s - 1) // level
+    return count
+
+
 def reduce_to_fundamental(
     curve: KodairaCurve, zc: CentralCharge, max_steps: int = 10000
 ) -> ReductionTrace:
@@ -145,49 +172,37 @@ def reduce_to_fundamental(
     At each step the component with the most negative imaginary part is
     reflected (ties to the smallest index); the degree is chosen so k+1 is
     the nearest integer to Re z_i, ties rounding down.  Stops as soon as the
-    closed chamber test is not outside.  The strictly positive level
-    Im Z(cycle) is preserved by every step, which is what forces the walk to
-    terminate; a step cap and exact-state cycle detection guard it anyway.
-    A negative cap raises InvalidParams before any work.
+    closed chamber test is not outside.  Each step removes one positive
+    affine root with Im Z < 0, so ``_walk_length`` counts the steps before
+    the walk; past ``max_steps`` it raises StepLimitExceeded with the partial
+    trace.  A negative cap raises InvalidParams before any work.
     """
     if max_steps < 0:
         raise InvalidParams(f"max_steps must be >= 0, got {max_steps}")
     report = membership(curve, zc)
     if report.component is not Component.PLUS:
         raise NotPlusComponent(f"charge component is {report.component.value}")
-    zn = normalize(curve, zc)
-    den, zs = clear_denominators(zn.z)
+    den, zs = _normalized_pairs(_root_scan(curve, zc).pairs)  # membership's scan
     z0 = (-den, 0)  # z0 = -1 over D, fixed by every step
+    length = _walk_length(curve, zs)
+    zn = NormalizedCharge(from_scaled(den, zs))
     steps: list[ReductionStep] = []
-    seen = {tuple(zs)}
-
-    def trace(final: NormalizedCharge, terminated: bool) -> ReductionTrace:
-        return ReductionTrace(
-            steps=tuple(steps),
-            word=TwistWord(tuple(s.generator for s in steps)),
-            final=final,
-            terminated=terminated,
-        )
-
-    while True:
-        if not any(y < 0 for _, y in zs):
-            # inside or on a wall; NotGeneral propagates from corner points
-            in_fundamental_chamber(curve, zn, closed=True)
-            return trace(zn, True)
-        if len(steps) >= max_steps:
-            raise StepLimitExceeded(
-                f"no termination within {max_steps} steps", trace(zn, False)
-            )
+    for _ in range(min(length, max_steps)):
         worst = min(range(curve.n), key=lambda idx: (zs[idx][1], idx))
+        assert zs[worst][1] < 0, "the walk went past its counted length"
         # k + 1 = ceil(x/D - 1/2), the nearest integer with ties rounded down
         k = -((den - 2 * zs[worst][0]) // (2 * den)) - 1
         reflect_scaled(curve, worst + 1, k, z0, zs)
         zn = NormalizedCharge(from_scaled(den, zs))
         steps.append(ReductionStep(TwistGenerator(worst + 1, k), zn))
-        state = tuple(zs)
-        if state in seen:
-            raise StepLimitExceeded("state revisited: walk cycles", trace(zn, False))
-        seen.add(state)
+    word = TwistWord(tuple(s.generator for s in steps))
+    trace = ReductionTrace(tuple(steps), word, zn, terminated=length <= max_steps)
+    if not trace.terminated:
+        raise StepLimitExceeded(f"no termination within {max_steps} steps", trace)
+    # inside or on a wall; NotGeneral propagates from corner points
+    verdict = in_fundamental_chamber(curve, zn, closed=True)
+    assert verdict.position is not Position.OUTSIDE, "the walk stopped short of its length"
+    return trace
 
 
 @dataclass(frozen=True)
@@ -266,6 +281,5 @@ class TorsionPairData:
 
 
 def torsion_pair_data(curve: KodairaCurve, i: int, k: int) -> TorsionPairData:
-    if not 1 <= i <= curve.n:
-        raise IndexOutOfRange(f"component index {i} outside 1..{curve.n}")
+    check_index(curve, i)
     return TorsionPairData(i=i, k=k)

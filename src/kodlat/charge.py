@@ -120,12 +120,11 @@ def _negative_roots(curve: KodairaCurve) -> tuple[tuple[KClass, int, int], ...]:
 
 
 class _Scan(NamedTuple):
-    """A root scan's result with the charge's integer form (see ``_root_scan``)."""
+    """A root scan's result with the charge's integer pairs (see ``_root_scan``)."""
 
     det: int
     msq: Optional[Fraction]
     witness: Optional[KClass]
-    den: int
     pairs: list[tuple[int, int]]
     best: Optional[int]
 
@@ -161,13 +160,12 @@ def _memo_last(scan):
 @_memo_last
 def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     """(det, M^2, witness): least squared modulus of Z over all roots, in one
-    pass, with the charge's integer form.
+    pass, with the charge's integer pairs.
 
-    The integer form is (D, pairs): D is the common denominator of the
-    charge's values and pair j holds D times value j (z0 first).  det is D^2
-    times ``orientation_det``; when it is 0 nothing is scanned and M^2, the
-    witness and best are None.  Otherwise best = M^2 D^2 is the scan's
-    integer minimum.
+    Pair j holds D times value j (z0 first), with D the common denominator
+    of the charge's values.  det is D^2 times ``orientation_det``; when it
+    is 0 nothing is scanned and M^2, the witness and best are None.
+    Otherwise best = M^2 D^2 is the scan's integer minimum.
 
     Every root is c ox + w0 + m cycle with w0 fundamental, so its values are
     the translates of Z(w0) by the rank-2 lattice spanned by z0 and
@@ -186,9 +184,9 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     parents, two integer additions per root, and so are the floor numerators
     of ``ratlinalg.nearest_corner``, which are linear in the target.
 
-    The last scan is memoized (see ``_memo_last``): ``support_form`` reads
-    the scan of the charge its caller has usually just checked, integer
-    form included.
+    The last scan is memoized (see ``_memo_last``): ``support_form`` and
+    the chamber walk read the scan of the charge their caller has usually
+    just checked, integer pairs included.
     """
     check_dimension(curve, zc.z, "charge")
     den, zs = clear_denominators((zc.z0, *zc.z))
@@ -200,7 +198,7 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     )
     det = z0[0] * zrho[1] - zrho[0] * z0[1]
     if det == 0:
-        return _Scan(0, None, None, den, zs, None)
+        return _Scan(0, None, None, zs, None)
     (ux, uy), (vx, vy), umat = lagrange_reduce(z0, zrho)
     guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
     gdet = guu * gvv - guv * guv
@@ -227,7 +225,7 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     c = x * umat[0][0] + y * umat[1][0]
     m = x * umat[0][1] + y * umat[1][1]
     witness = rad.skyscraper.scale(c) + table[i][0] + rad.cycle.scale(m)
-    return _Scan(det, Fraction(best, den * den), witness, den, zs, best)
+    return _Scan(det, Fraction(best, den * den), witness, zs, best)
 
 
 def _scan_radical(curve: KodairaCurve, zc: CentralCharge) -> tuple[Fraction, KClass]:

@@ -73,6 +73,12 @@ def check_dimension(curve: KodairaCurve, entries, kind: str = "class") -> None:
         )
 
 
+def check_index(curve: KodairaCurve, i: int) -> None:
+    """Raise IndexOutOfRange unless ``i`` is a component index, 1..n."""
+    if not 1 <= i <= curve.n:
+        raise IndexOutOfRange(f"component index {i} outside 1..{curve.n}")
+
+
 def pair(curve: KodairaCurve, v: KClass, w: KClass) -> int:
     """Euler pairing <v, w> = ranks(v)^T gram ranks(w); chi is immaterial."""
     check_dimension(curve, v.ranks)
@@ -125,8 +131,7 @@ def line_bundle_class(curve: KodairaCurve, i: int, k: int) -> KClass:
     On a projective line chi(O(k)) = k + 1, and the rank vector is the i-th
     unit vector.
     """
-    if not 1 <= i <= curve.n:
-        raise IndexOutOfRange(f"component index {i} outside 1..{curve.n}")
+    check_index(curve, i)
     ranks = tuple(1 if j == i - 1 else 0 for j in range(curve.n))
     return KClass(k + 1, ranks)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .catalog import KodairaCurve
 from .charge import CentralCharge
-from .errors import IndexOutOfRange, ParseError
+from .errors import ParseError
 from .exact import clear_denominators, from_scaled
-from .kgroup import KClass, check_dimension, gram_apply, line_bundle_class
+from .kgroup import KClass, check_dimension, check_index, gram_apply, line_bundle_class
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,9 @@ class TwistWord:
         return cls(tuple(TwistGenerator.parse(str(p)) for p in items))
 
 
-def _check_index(curve: KodairaCurve, i: int) -> None:
-    if not 1 <= i <= curve.n:
-        raise IndexOutOfRange(f"component index {i} outside 1..{curve.n}")
-
-
 def reflect_class(curve: KodairaCurve, i: int, k: int, v: KClass) -> KClass:
     """s(v) = v + <v, delta> delta for delta = [O_i(k)]."""
-    _check_index(curve, i)
+    check_index(curve, i)
     check_dimension(curve, v.ranks)
     delta = line_bundle_class(curve, i, k)
     coeff = gram_apply(curve, v)[i - 1]  # <v, delta> depends on ranks only
@@ -118,7 +113,7 @@ def apply_word(curve: KodairaCurve, word: TwistWord, target):
         check_dimension(curve, target.z, "charge")
         den, (z0, *zs) = clear_denominators((target.z0, *target.z))
         for g in word.generators:
-            _check_index(curve, g.i)
+            check_index(curve, g.i)
             reflect_scaled(curve, g.i, g.k, z0, zs)
         return CentralCharge(target.z0, from_scaled(den, zs))
     raise TypeError(f"cannot apply a twist word to {type(target).__name__}")

@@ -362,6 +362,12 @@ def gram_column_combination(curve: KodairaCurve, target) -> list[Fraction] | Non
     return coeffs
 
 
+def qc_normalize(zc: CentralCharge) -> tuple[QC, ...]:
+    """The values -z_j / z0 by complex division of ``QC``s; z0 nonzero."""
+    factor = QC(-1) / zc.z0
+    return tuple(v * factor for v in zc.z)
+
+
 def count_negative_positive_roots(curve: KodairaCurve, y) -> int | None:
     """Number of positive real affine roots beta + m cycle with sum of
     beta_j y_j + m level < 0, where level = sum cycle_j y_j > 0.

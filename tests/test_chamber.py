@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kodlat import (
     CentralCharge,
@@ -33,7 +35,16 @@ from kodlat import (
     torsion_pair_data,
     wall_crossings_on_segment,
 )
-from oracles import random_fraction, random_normalized_plus_charge
+from kodlat.chamber import _normalized_pairs, _walk_length
+from kodlat.errors import KodlatError
+from kodlat.exact import clear_denominators
+from oracles import (
+    count_negative_positive_roots,
+    qc_normalize,
+    random_charge,
+    random_fraction,
+    random_normalized_plus_charge,
+)
 
 I2 = curve_from_label("I_2")
 I3 = curve_from_label("I_3")
@@ -61,6 +72,24 @@ class TestNormalize:
         znorm = normalize(I2, ch("2,3", "1/3,-1", "0,2"))
         assert normalize(I2, znorm.as_charge()) == znorm
         assert NormalizedCharge.from_dict(znorm.to_dict()) == znorm
+
+    def test_matches_qc_division(self):
+        rng = random.Random(29)
+        for label in ("I_2", "IV", "IStar_0", "IVStar"):
+            curve = curve_from_label(label)
+            for _ in range(40):
+                zc = random_charge(curve, rng, num=30, den=30)
+                if zc.z0:
+                    assert normalize(curve, zc).z == qc_normalize(zc)
+
+    def test_integer_pairs_are_those_of_the_normalized_values(self):
+        # dividing by the gcd gives the lcm denominator, not just some multiple of it
+        rng = random.Random(31)
+        for _ in range(100):
+            zc = random_charge(I3, rng, num=30, den=30)
+            if zc.z0:
+                _, pairs = clear_denominators((zc.z0, *zc.z))
+                assert _normalized_pairs(pairs) == clear_denominators(qc_normalize(zc))
 
 
 class TestChamberVerdict:
@@ -201,6 +230,80 @@ class TestReduce:
         assert data["final"] == {"z": [["-1/3", "1"], ["2/3", "0"]]}
         assert data["terminated"] is True
         assert data["steps"][0]["generator"] == "T(1,-1)"
+
+
+def rotate(zc: CentralCharge, lam: QC) -> CentralCharge:
+    return CentralCharge(zc.z0 * lam, tuple(v * lam for v in zc.z))
+
+
+def outcome(curve, zc):
+    """The trace's JSON form, or the code of the error the walk raised."""
+    try:
+        return reduce_to_fundamental(curve, zc).to_dict()
+    except KodlatError as exc:
+        return exc.code
+
+
+WALK_CURVES = ("I_2", "I_3", "mI_3_2", "III", "IV", "IStar_0", "IStar_2", "IVStar")
+
+
+class TestWalkLength:
+    """The walk's length is counted before it starts, and is its only guard."""
+
+    @pytest.mark.parametrize("label", WALK_CURVES)
+    def test_count_matches_the_oracle(self, label):
+        curve = curve_from_label(label)
+        rng = random.Random(f"count {label}")
+        counts = []
+        for t in range(30):
+            zc = random_normalized_plus_charge(curve, rng, num=4, den=97)
+            if t % 5 == 0:  # in the chamber: the count is 0
+                zc = CentralCharge(zc.z0, tuple(QC(v.re, abs(v.im) + 1) for v in zc.z))
+            lam = QC(random_fraction(rng) or 1, random_fraction(rng) or 1)
+            zc = rotate(zc, lam)
+            assert zc.z0.re and zc.z0.im
+            expected = count_negative_positive_roots(curve, [v.im for v in qc_normalize(zc)])
+            if expected is None:  # a root with Im Z = 0; the oracle does not count there
+                continue
+            _, pairs = clear_denominators((zc.z0, *zc.z))
+            counts.append(_walk_length(curve, _normalized_pairs(pairs)[1]))
+            assert counts[-1] == expected
+        assert len(counts) >= 20 and 0 in counts and max(counts) > 0
+
+    @pytest.mark.parametrize("label", ("I_3", "IV", "IStar_0", "IVStar"))
+    def test_cap_at_the_count(self, label):
+        curve = curve_from_label(label)
+        rng = random.Random(f"cap {label}")
+        for _ in range(8):
+            zc = random_normalized_plus_charge(curve, rng, num=3, den=97)
+            full = reduce_to_fundamental(curve, zc)
+            count = len(full.steps)
+            if count == 0:
+                continue
+            assert reduce_to_fundamental(curve, zc, max_steps=count) == full
+            with pytest.raises(StepLimitExceeded, match=f"within {count - 1} steps") as exc:
+                reduce_to_fundamental(curve, zc, max_steps=count - 1)
+            partial = exc.value.trace
+            assert not partial.terminated
+            assert partial.steps == full.steps[: count - 1]
+            assert partial.word.generators == full.word.generators[: count - 1]
+            before = full.steps[count - 2].charge_after if count > 1 else normalize(curve, zc)
+            assert partial.final == before
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from(["I_2", "IV", "IStar_0", "I_8", "IVStar"]),
+        st.integers(0, 10**6),
+        st.fractions(-9, 9, max_denominator=9),
+        st.fractions(-9, 9, max_denominator=9),
+    )
+    def test_rescaling_keeps_the_trace(self, label, seed, re, im):
+        # a nonzero complex factor keeps the component and the normalized values
+        if not (re or im):
+            return
+        curve = curve_from_label(label)
+        zc = random_normalized_plus_charge(curve, random.Random(seed), num=3, den=97)
+        assert outcome(curve, rotate(zc, QC(re, im))) == outcome(curve, zc)
 
 
 class TestWallCrossings:
