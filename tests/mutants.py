@@ -96,6 +96,80 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the dimension check dropped",
+        "src/kodlat/kgroup.py",
+        "if len(entries) != curve.n:",
+        "if False:",
+        (
+            "tests/test_chamber.py::TestChamberVerdict::test_dimension_checked",
+            "tests/test_kgroup.py::TestPairing::test_dimension_mismatch",
+            "tests/test_twist.py::TestApplyWord::test_dimension_checked_before_any_generator",
+        ),
+    ),
+    Mutant(
+        "a reflection that drops z0's imaginary part",
+        "src/kodlat/twist.py",
+        "dy = (k + 1) * z0[1] + zs[i - 1][1]",
+        "dy = zs[i - 1][1]",
+        (
+            "tests/test_twist.py::TestDualReflectCharge::test_duality_with_class_action",
+            "tests/test_invariants.py::test_twists_preserve_validity_data[IV]",
+            "tests/test_identity.py::test_digest_pinned[apply_word_charge]",
+        ),
+    ),
+    Mutant(
+        "det instead of det^2 under the kernel pivots",
+        "src/kodlat/charge.py",
+        "kernel_pivots=tuple(Fraction(d, det * det) for d in pivots)",
+        "kernel_pivots=tuple(Fraction(d, det) for d in pivots)",
+        (
+            "tests/test_charge.py::TestSupportForm::test_kernel_pivots_pinned",
+            "tests/test_charge.py::TestSupportForm::test_kernel_pivots_match_term_by_term_oracle",
+            "tests/test_identity.py::test_digest_pinned[support_form]",
+        ),
+    ),
+    Mutant(
+        "a later root with an equal distance replaces the best in the scan",
+        "src/kodlat/charge.py",
+        "if best is None or dist < best:",
+        "if best is None or dist <= best:",
+        (
+            "tests/test_charge.py::TestRootScan::test_matches_full_scan[IStar_0]",
+            "tests/test_identity.py::test_digest_pinned[min_root_modulus_witness]",
+        ),
+    ),
+    Mutant(
+        "q = 1 in the Cramer kernel",
+        "src/kodlat/charge.py",
+        "q = next(j for j in range(1, len(zs)) if cross(0, j))",
+        "q = 1",
+        (
+            "tests/test_charge.py::TestSupportForm"
+            "::test_kernel_pivots_when_first_columns_are_parallel",
+            "tests/test_acceptance.py::test_support_form",
+        ),
+    ),
+    Mutant(
+        "mu = floor(<u,v>/|u|^2) in lagrange_reduce",
+        "src/kodlat/ratlinalg.py",
+        "mu = (2 * (ux * vx + uy * vy) + nu) // (2 * nu)",
+        "mu = (ux * vx + uy * vy) // nu",
+        (
+            "tests/test_exact.py::TestLinalg::test_lagrange_reduction_invariants",
+            "tests/test_identity.py::test_digest_pinned[min_root_modulus_witness]",
+        ),
+    ),
+    Mutant(
+        "the output's sort_keys dropped",
+        "src/kodlat/cli.py",
+        "text = json.dumps(payload, sort_keys=True, ensure_ascii=True)",
+        "text = json.dumps(payload, ensure_ascii=True)",
+        (
+            "tests/test_cli_identity.py::test_cli_digest_pinned[check]",
+            "tests/test_cli_identity.py::test_cli_digest_pinned[roots]",
+        ),
+    ),
+    Mutant(
         "component index 0 accepted",
         "src/kodlat/kgroup.py",
         "if not 1 <= i <= curve.n:",

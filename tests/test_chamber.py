@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kodlat import (
@@ -299,8 +299,7 @@ class TestWalkLength:
     )
     def test_rescaling_keeps_the_trace(self, label, seed, re, im):
         # a nonzero complex factor keeps the component and the normalized values
-        if not (re or im):
-            return
+        assume(re or im)
         curve = curve_from_label(label)
         zc = random_normalized_plus_charge(curve, random.Random(seed), num=3, den=97)
         assert outcome(curve, rotate(zc, QC(re, im))) == outcome(curve, zc)
