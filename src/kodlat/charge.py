@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import wraps
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -28,7 +28,7 @@ from .errors import (
 from .exact import QC, clear_denominators, format_rational
 from .kgroup import KClass, check_dimension, radical_basis
 from .ratlinalg import lagrange_reduce, nearest_corner, psd_pivots
-from .roots import fundamental_roots, positive_roots
+from .roots import positive_roots
 
 
 @dataclass(frozen=True)
@@ -98,27 +98,6 @@ def _canonical_root_sign(delta: KClass) -> KClass:
     return delta
 
 
-@lru_cache(maxsize=None)
-def _negative_roots(curve: KodairaCurve) -> tuple[tuple[KClass, int, int], ...]:
-    """The fundamental roots with every rank <= 0, in lexicographic order,
-    each as (root, p, j) with root = parent - e_j.
-
-    These are the negated ``positive_roots``: -(a + e_j) = (-a) - e_j, so
-    the parent of -b is -a, entry p, which comes later in the order; p is
-    the length of the table when the parent is 0 (the simple root -e_j).
-    Every root with all ranks <= 0 sorts before every positive one, so the
-    classes are the first half of ``fundamental_roots``, shared with it.
-    """
-    pos = positive_roots(curve)
-    neg = [tuple(-r for r in ranks) for ranks, _, _ in pos]
-    order = sorted(range(len(pos)), key=neg.__getitem__)
-    where = [len(pos)] * (len(pos) + 1)  # a parent p = -1 reads the last slot
-    for k, i in enumerate(order):
-        where[i] = k
-    roots = fundamental_roots(curve)
-    return tuple((roots[k], where[pos[i][1]], pos[i][2]) for k, i in enumerate(order))
-
-
 class _Scan(NamedTuple):
     """A root scan's result with the charge's integer pairs (see ``_root_scan``)."""
 
@@ -180,9 +159,13 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     witness is built once, from the winning root and lattice point.
 
     The reduced basis's Gram entries and determinant are computed once per
-    charge.  The targets Z(-w0) are filled from the ``_negative_roots``
-    parents, two integer additions per root, and so are the floor numerators
-    of ``ratlinalg.nearest_corner``, which are linear in the target.
+    charge.  The targets Z(w), for the roots w of ``positive_roots``, are
+    filled forward from their parents, two integer additions per root, and
+    so are the floor numerators of ``ratlinalg.nearest_corner``, which are
+    linear in the target; the lattice point nearest Z(w) is the one that
+    makes Z(-w) + it least.  That table is in increasing lexicographic
+    order and negation reverses it, so the reversed targets visit the roots
+    -w in the scan's order.  Only the winning root becomes a ``KClass``.
 
     The last scan is memoized (see ``_memo_last``): ``support_form`` and
     the chamber walk read the scan of the charge their caller has usually
@@ -206,13 +189,13 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     ru, rv = ux * gvv - vx * guv, uy * gvv - vy * guv
     su, sv = guu * vx - guv * ux, guu * vy - guv * uy
     steps = [(x, y, x * ru + y * rv, x * su + y * sv) for x, y in zs[1:]]
-    table = _negative_roots(curve)
-    fill = [(0, 0, 0, 0)] * (len(table) + 1)  # the last one is Z(0)
-    for i in range(len(table) - 1, -1, -1):
-        _, p, j = table[i]
+    table = positive_roots(curve)
+    fill = [(0, 0, 0, 0)] * (len(table) + 1)  # a parent p = -1 reads the last slot, Z(0)
+    for i, (_, p, j) in enumerate(table):
         (tx, ty, nx, ny), (x, y, mx, my) = fill[p], steps[j]
         fill[i] = (tx + x, ty + y, nx + mx, ny + my)
     fill.pop()
+    fill.reverse()  # entry i is now Z(w) for the i-th root -w of the ranks <= 0 half
     best: Optional[int] = None
     for i, (tx, ty, nx, ny) in enumerate(fill):
         dist, x, y = nearest_corner(ux, uy, vx, vy, gdet, tx, ty, nx, ny)
@@ -224,7 +207,8 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     # back to (z0, Z(cycle)) coordinates: reduced rows are umat times those
     c = x * umat[0][0] + y * umat[1][0]
     m = x * umat[0][1] + y * umat[1][1]
-    witness = rad.skyscraper.scale(c) + table[i][0] + rad.cycle.scale(m)
+    w0 = KClass(0, tuple(-r for r in table[-1 - i][0]))
+    witness = rad.skyscraper.scale(c) + w0 + rad.cycle.scale(m)
     return _Scan(det, Fraction(best, den * den), witness, zs, best)
 
 

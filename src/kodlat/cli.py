@@ -9,7 +9,9 @@ An internal error is any other exception (a bug, or an interpreter limit
 such as RecursionError), reported as {"code": "InternalError", "message":
 "<type>: <text>"}.
 
---help shows the paragraphs above this one.
+--help shows the paragraphs above this one.  A reader that closes stdout
+before the whole document is written ends the run with status 1 and nothing
+on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -34,7 +37,7 @@ from .charge import CentralCharge, membership
 from .errors import KodlatError, OutputTooLarge, ParseError
 from .exact import QC, RATIONAL_TEXT
 from .kgroup import KClass, pair
-from .roots import enumerate_roots_in_box, fundamental_roots
+from .roots import enumerate_roots_in_box, fundamental_roots, positive_roots
 from .twist import TwistWord, apply_word
 
 
@@ -186,9 +189,9 @@ def _run(args) -> dict | list:
             if args.count_only:
                 return {"box_count": len(found)}
             return {"bound": args.bound, "roots": [v.to_dict() for v in found]}
-        found = fundamental_roots(curve)
         if args.count_only:
-            return {"fundamental_count": len(found)}
+            return {"fundamental_count": 2 * len(positive_roots(curve))}
+        found = fundamental_roots(curve)
         return {"fundamental_count": len(found), "roots": [v.to_dict() for v in found]}
 
     if args.verb == "pair":
@@ -238,7 +241,9 @@ def _run(args) -> dict | list:
     raise ParseError(f"unknown verb {args.verb!r}")
 
 
-def main(argv=None) -> int:
+def _respond(argv) -> tuple[int, str]:
+    """(exit status, JSON document) of one invocation; the document is
+    empty after --help, which has printed its own."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -249,20 +254,27 @@ def main(argv=None) -> int:
             text = json.dumps(payload, sort_keys=True, ensure_ascii=True)
         except ValueError as exc:  # an int past the integer conversion limit
             raise OutputTooLarge() from exc
-        print(text)
-        return 0
+        return 0, text
     except _HelpShown:
-        return 0
+        return 0, ""
     except ParseError as exc:
-        print(json.dumps({"code": exc.code, "message": str(exc)}, sort_keys=True))
-        return 2
+        return 2, json.dumps({"code": exc.code, "message": str(exc)}, sort_keys=True)
     except KodlatError as exc:
-        print(json.dumps({"code": exc.code, "message": str(exc)}, sort_keys=True))
-        return 1
+        return 1, json.dumps({"code": exc.code, "message": str(exc)}, sort_keys=True)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"code": "InternalError", "message": message}, sort_keys=True))
-        return 3
+        return 3, json.dumps({"code": "InternalError", "message": message}, sort_keys=True)
+
+
+def main(argv=None) -> int:
+    status, text = _respond(argv)
+    try:  # flushed here, so a reader that has gone raises here and not at exit
+        print(text, end="\n" if text else "", flush=True)
+    except BrokenPipeError:
+        # send what is left to os.devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -34,9 +34,6 @@ class KClass:
     def scale(self, c: int) -> "KClass":
         return KClass(c * self.chi, tuple(c * a for a in self.ranks))
 
-    def is_zero(self) -> bool:
-        return self.chi == 0 and not any(self.ranks)
-
     def to_dict(self) -> dict:
         return {"chi": self.chi, "ranks": list(self.ranks)}
 

@@ -31,18 +31,20 @@ class RootDecomposition:
 
 @lru_cache(maxsize=None)
 def positive_roots(curve: KodairaCurve) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The positive fundamental roots in order of height, each as (ranks, p, j)
-    with ranks = entry p + e_j, and p = -1 for the simple root e_j.
+    """The positive fundamental roots in increasing lexicographic order, each
+    as (ranks, p, j) with ranks = entry p + e_j, and p = -1 for the simple
+    root e_j.  A parent is below its child in every rank, so it comes first.
 
     Every finite diagram in the catalog is simply laced (the double edges
     of I_2, mI_2_m and III touch the affine node), so a + e_j is a root
     exactly when <a, e_j> = 1, and every positive root that is not simple
     is such an a + e_j.  Each root carries its pairings with the unit
-    classes, and the list is read while it grows, height by height.
+    classes, and the list is read while it grows, height by height, then
+    sorted once.
     """
     n = curve.n
     simple = [j for j in range(n) if j != curve.affine_node]
-    out = [(tuple(int(t == j) for t in range(n)), -1, j) for j in simple]
+    out = [(tuple(int(t == j) for t in range(n)), None, j) for j in simple]
     pairings = [curve.gram[j] for j in simple]  # <entry p, e_t> for every node t
     seen = {ranks for ranks, _, _ in out}
     for p, (a, _, _) in enumerate(out):
@@ -52,17 +54,19 @@ def positive_roots(curve: KodairaCurve) -> tuple[tuple[tuple[int, ...], int, int
                 b = a[:j] + (a[j] + 1,) + a[j + 1 :]
                 if b not in seen:
                     seen.add(b)
-                    out.append((b, p, j))
+                    out.append((b, a, j))
                     pairings.append(tuple(x + g for x, g in zip(pa, curve.gram[j])))
-    return tuple(out)
+    out.sort()  # the rank vectors are distinct, so no parent is compared
+    where = {ranks: k for k, (ranks, _, _) in enumerate(out)}
+    return tuple((ranks, where.get(parent, -1), j) for ranks, parent, j in out)
 
 
 @lru_cache(maxsize=None)
 def fundamental_roots(curve: KodairaCurve) -> tuple[KClass, ...]:
-    """All fundamental roots, lexicographically sorted by rank vector: the
-    positive roots of ``positive_roots`` and their negatives."""
-    pos = [ranks for ranks, _, _ in positive_roots(curve)]
-    return tuple(KClass(0, v) for v in sorted(pos + [tuple(-r for r in v) for v in pos]))
+    """All fundamental roots in lexicographic order: the negated
+    ``positive_roots`` in reverse order, which all sort first, then those."""
+    pos = [KClass(0, ranks) for ranks, _, _ in positive_roots(curve)]
+    return tuple([-w for w in reversed(pos)] + pos)
 
 
 def decompose_root(curve: KodairaCurve, delta: KClass) -> RootDecomposition:

@@ -139,6 +139,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the scan's targets left in increasing order",
+        "src/kodlat/charge.py",
+        "fill.reverse()",
+        "pass",
+        (
+            "tests/test_acceptance.py::test_p0_decision_vs_oracle",
+            "tests/test_charge.py::TestRootScan::test_matches_full_scan[IV]",
+            "tests/test_identity.py::test_digest_pinned[membership]",
+        ),
+    ),
+    Mutant(
         "q = 1 in the Cramer kernel",
         "src/kodlat/charge.py",
         "q = next(j for j in range(1, len(zs)) if cross(0, j))",
@@ -147,6 +158,52 @@ MUTANTS = (
             "tests/test_charge.py::TestSupportForm"
             "::test_kernel_pivots_when_first_columns_are_parallel",
             "tests/test_acceptance.py::test_support_form",
+        ),
+    ),
+    Mutant(
+        "the root table sorted in decreasing order",
+        "src/kodlat/roots.py",
+        "out.sort()",
+        "out.sort(reverse=True)",
+        (
+            "tests/test_roots.py::TestGenerationByHeight::test_entries_are_parent_plus_e_j[IV]",
+            "tests/test_chamber.py::TestWalkLength::test_count_matches_the_oracle[IV]",
+            "tests/test_identity.py::test_digest_pinned[membership]",
+        ),
+    ),
+    Mutant(
+        "a root's pairings updated with -<e_j, e_t>",
+        "src/kodlat/roots.py",
+        "tuple(x + g for x, g in zip(pa, curve.gram[j]))",
+        "tuple(x - g for x, g in zip(pa, curve.gram[j]))",
+        (
+            "tests/test_acceptance.py::test_root_counts",
+            "tests/test_roots.py::test_fundamental_root_counts[IStar_0-24]",
+            "tests/test_chamber.py::TestWalkLength::test_count_matches_the_oracle[IStar_0]",
+        ),
+    ),
+    # the next two generate without end on large curves, so only small ones are named
+    Mutant(
+        "a + e_j taken whenever <a, e_j> >= 0",
+        "src/kodlat/roots.py",
+        "if pa[j] == 1:",
+        "if pa[j] >= 0:",
+        (
+            "tests/test_roots.py::test_fundamental_root_counts[I_5-20]",
+            "tests/test_roots.py::TestGenerationByHeight"
+            "::test_entries_are_parent_plus_e_j[IStar_0]",
+            "tests/test_charge.py::TestRootScan::test_matches_full_scan[IStar_0]",
+        ),
+    ),
+    Mutant(
+        "a root reached twice kept twice",
+        "src/kodlat/roots.py",
+        "if b not in seen:",
+        "if True:",
+        (
+            "tests/test_roots.py::test_fundamental_root_counts[I_5-20]",
+            "tests/test_roots.py::TestGenerationByHeight::test_entries_are_parent_plus_e_j[IV]",
+            "tests/test_chamber.py::TestWalkLength::test_count_matches_the_oracle[IV]",
         ),
     ),
     Mutant(

@@ -34,6 +34,7 @@ from kodlat import (
     vanishing_root,
 )
 from kodlat import charge as charge_module
+from kodlat.roots import positive_roots
 from oracles import (
     charge_grid_scan,
     cramer_kernel_pivots,
@@ -194,6 +195,17 @@ class TestMinRootModulus:
                     assert msq == grid_min
 
 
+def _library_cache_clears() -> list:
+    """Every module attribute's ``cache_clear`` in the library."""
+    import kodlat.cli  # noqa: F401  (imports every module of the library)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "kodlat"]
+    return [
+        obj.cache_clear for mod in modules for obj in vars(mod).values()
+        if hasattr(obj, "cache_clear")
+    ]
+
+
 SCAN_CURVES = ("I_2", "IV", "IStar_0", "IVStar", "IStar_8", "IIStar", "I_20")
 
 
@@ -231,16 +243,26 @@ class TestRootScan:
 
     @pytest.mark.parametrize("label", SCAN_CURVES + ("mI_3_2", "IIIStar"))
     def test_table_is_the_negative_half_with_parents(self, label):
+        """The scan reads one table: ``fundamental_roots`` is the sorted
+        positive roots and their negatives, with the ranks <= 0 half, the
+        negated table in reverse order, first."""
         curve = curve_from_label(label)
-        table = charge_module._negative_roots(curve)
-        roots = fundamental_roots(curve)
-        assert [w for w, _, _ in table] == [w for w in roots if all(r <= 0 for r in w.ranks)]
-        assert 2 * len(table) == len(roots)
-        assert all(w is roots[i] for i, (w, _, _) in enumerate(table))  # shared classes
-        for i, (w, p, j) in enumerate(table):
-            assert i < p <= len(table)
-            parent = table[p][0].ranks if p < len(table) else (0,) * curve.n
-            assert parent == tuple(r + (t == j) for t, r in enumerate(w.ranks))
+        pos = [ranks for ranks, _, _ in positive_roots(curve)]
+        neg = [tuple(-r for r in ranks) for ranks in pos]
+        roots = [w.ranks for w in fundamental_roots(curve)]
+        assert roots == sorted(pos + neg)
+        assert roots[: len(pos)] == neg[::-1]
+        assert all(r <= 0 for ranks in roots[: len(pos)] for r in ranks)
+
+    def test_membership_builds_no_fundamental_roots(self):
+        """On a curve with every library cache empty, a membership check
+        reads ``positive_roots`` alone and builds no root classes."""
+        for clear in _library_cache_clears():
+            clear()
+        curve = curve_from_label("I_20")
+        assert membership(curve, reference_charge(curve)).in_p0
+        assert fundamental_roots.cache_info().currsize == 0
+        assert positive_roots.cache_info().currsize == 1
 
 
 class TestMembership:
@@ -355,13 +377,7 @@ class TestScanMemo:
         """The benchmark empties the library's caches by calling every module
         attribute's ``cache_clear``; a class with a ``cache_clear`` method
         would raise TypeError there."""
-        import kodlat.cli  # noqa: F401  (imports every module of the library)
-
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "kodlat"]
-        clears = [
-            obj.cache_clear for mod in modules for obj in vars(mod).values()
-            if hasattr(obj, "cache_clear")
-        ]
+        clears = _library_cache_clears()
         assert charge_module._root_scan.cache_clear in clears
         for clear in clears:
             clear()

@@ -350,6 +350,19 @@ class TestOutputContract:
             "message": f"{type(exc).__name__}: {exc}",
         }
 
+    def test_closed_pipe_is_quiet(self):
+        """A reader that stops early ends the run with status 1 and nothing
+        on stderr; the I_60 listing is far larger than a pipe's buffer."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kodlat", "roots", "--curve", "I_60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head == b'{"fundamen'
+        assert (proc.returncode, err) == (1, b"")
+
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
     def test_help_is_one_json_document(self, argv):
         proc = run_module("kodlat.cli", *argv)
