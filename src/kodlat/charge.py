@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import wraps
+from functools import lru_cache, wraps
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exact import QC, clear_denominators, format_rational
 from .kgroup import KClass, check_dimension, radical_basis
-from .ratlinalg import lagrange_reduce, nearest_corner, psd_pivots
+from .ratlinalg import lagrange_reduce, nearest_corner
 from .roots import positive_roots
 
 
@@ -302,12 +302,14 @@ class SupportForm:
 
     ``matrix`` is symmetric rational in the basis (point class, component
     unit classes); ``kernel_pivots`` are the positive LDL^T pivots of -Q
-    restricted to the kernel of Z, computed fraction-free; they certify
-    negative definiteness there.
-    Z vanishes on that kernel, so Q equals the Euler pairing there, and the
-    certificate is the Euler pairing restricted to ker Z.  The kernel basis
-    is the reduced-row-echelon one of the 2 x dim system Re Z = Im Z = 0,
-    found by Cramer's rule on its two pivot columns.
+    restricted to the kernel of Z; they certify negative definiteness
+    there.  Z vanishes on that kernel, so Q equals the Euler pairing there,
+    and the certificate is the Euler pairing restricted to ker Z.  The
+    kernel basis is the reduced-row-echelon one of the 2 x dim system
+    Re Z = Im Z = 0, found by Cramer's rule on its two pivot columns, and
+    pivot k is the ratio of the certificate's leading minors of sizes k
+    and k - 1, each found from a per-curve factorization by the matrix
+    determinant lemma (see ``support_form``).
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -328,27 +330,100 @@ class SupportForm:
         return {"matrix": [[format_rational(x) for x in row] for row in self.matrix]}
 
 
+@lru_cache(maxsize=None)
+def _kernel_factor(curve: KodairaCurve, q: int) -> tuple[tuple, ...]:
+    """The per-curve half of the support form's kernel pivots, for the
+    second Cramer pivot column q (1-based, as in ``support_form``).
+
+    With N = -G the negated Gram matrix and F the components other than
+    q, in order, N_F is positive definite: F misses a node of an affine
+    diagram.  Let Delta_k be its leading minors (Delta_0 = 1), L its unit
+    lower LDL^T factor and n = N_{F,q}.  For a vector x on F the integer
+    minors Delta_{k-1} (L^-1 x)_k come by forward substitution along
+    the rows of L.  The result holds one step per position k of F:
+
+        (Delta_k, nu_k, S_nn(k) - N_qq Delta_k, r_k, c_k, ((i, c_ki), ...)),
+
+    and the minor at k is (c_k x_k + sum_i c_ki minor_i) / r_k, exact on
+    integers, with i over the nonzero entries of row k of L.  nu_k is that
+    minor for x = n, and the integer S_nn(k) = Delta_k n_k^T N_k^-1 n_k is
+    (Delta_k S_nn(k-1) + nu_k^2) / Delta_{k-1}.
+
+    L comes from a sparse elimination over the graph in F's order, with
+    ``Fraction`` entries: an eliminated node updates only its later
+    neighbours.  On the catalog's node orders that fills at most one
+    column: none on a path or a D~ diagram, and one on a cycle cut at a
+    node other than its first or last, and on the E~ diagrams, whose third
+    arm is numbered after the chain.
+    """
+    free = [j for j in range(curve.n) if j != q - 1]
+    where = {j: k for k, j in enumerate(free)}
+    diag = [Fraction(-curve.gram[j][j]) for j in free]
+    # upper[k][l] = the current entry (k, l) for l > k; lower[k][i] = L[k][i]
+    upper = [
+        {where[h]: Fraction(-g) for h, g in enumerate(curve.gram[j]) if g and where.get(h, -1) > k}
+        for k, j in enumerate(free)
+    ]
+    lower: list[dict[int, Fraction]] = [{} for _ in free]
+    for i, row in enumerate(upper):
+        later = sorted(row.items())
+        for a, (k, x) in enumerate(later):
+            lk = x / diag[i]
+            lower[k][i] = lk
+            diag[k] -= lk * x
+            for l, y in later[a + 1 :]:
+                upper[k][l] = upper[k].get(l, 0) - lk * y
+    minors = [1]
+    for d in diag:
+        minors.append(int(minors[-1] * d))
+    nqq = -curve.gram[q - 1][q - 1]
+    steps, nus, snn = [], [], 0
+    for k, j in enumerate(free):
+        d0, d1 = minors[k], minors[k + 1]
+        coeffs = [(i, -d0 * lki / minors[i]) for i, lki in sorted(lower[k].items())]
+        r = math.lcm(*(c.denominator for _, c in coeffs))
+        terms = tuple((i, int(c * r)) for i, c in coeffs)
+        nu = (-d0 * r * curve.gram[j][q - 1] + sum(c * nus[i] for i, c in terms)) // r
+        nus.append(nu)
+        snn = (d1 * snn + nu * nu) // d0
+        steps.append((d1, nu, snn - nqq * d1, r, d0 * r, terms))
+    return tuple(steps)
+
+
 def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
     """Build Q for a valid charge and certify its two defining properties.
 
-    Q is negative definite on the kernel of Z (fraction-free LDL^T pivots)
-    and nonnegative on every root, which holds by construction since M^2 is
-    the exact minimum of |Z|^2 on roots.  Raises NotInP0 on invalid charges.
+    Q is negative definite on the kernel of Z (positive LDL^T pivots of -Q
+    there) and nonnegative on every root, which holds by construction
+    since M^2 is the exact minimum of |Z|^2 on roots.  Raises NotInP0 on
+    invalid charges.
 
     The work runs on the charge's integer form, read from the root scan
     with its integer minimum: values times their common denominator D, and
-    best = M^2 D^2.  Each kernel vector comes from
-    Cramer's rule on the pivot columns 0 (z0 != 0) and q: for every other
-    column f it is u_f = det e_f - cross(f, q) e_0 + a_f e_q, det times the
-    echelon one, with det = cross(0, q) and a_f = -cross(0, f).  The point
-    class pairs trivially with everything, so with G the Gram matrix the
-    restricted pairing is the integer matrix
+    best = M^2 D^2.  Each kernel vector comes from Cramer's rule on the
+    pivot columns 0 (z0 != 0) and q: for every other column f the echelon
+    vector is v_f = e_f - (cross(f, q) / det) e_0 + (a_f / det) e_q, with
+    det = cross(0, q) and a_f = -cross(0, f), and det and every a_f are
+    first divided by their gcd.  The point class pairs trivially with
+    everything, so with N = -G on the components, F the columns other than
+    q, in order, and n = N_{F,q}, the certificate -G on the v_f is the
+    rank-2 update
 
-        R[f][g] = det (det G[f][g] + a_g G[f][q]) + a_f (det G[q][g] + a_g G[q][q]).
+        V = N_F + B C B^T,  B = [a / det, n],  C = [[N_qq, 1], [1, 0]],
 
-    det and every a_f are first divided by their gcd, which scales u_f
-    alike, R by its square and the pivots with it: the pivots of R over
-    (det / gcd)^2 are those of the echelon basis, on shorter integers.
+    and so is its leading k x k block.  N_F's block N_k is positive
+    definite, so the matrix determinant lemma gives det V_k from the
+    quadratic forms of a and n in N_k^-1.  On integers, with Delta_k,
+    nu_k and S_nn(k) from ``_kernel_factor`` and alpha_k = Delta_{k-1}
+    (L^-1 a)_k found by the same forward substitution:
+
+        S_aa(k) = (Delta_k S_aa(k-1) + alpha_k^2) / Delta_{k-1},
+        S_an(k) = (Delta_k S_an(k-1) + alpha_k nu_k) / Delta_{k-1},
+        J_k = S_aa(k) (S_nn(k) - N_qq Delta_k) - (det Delta_k + S_an(k))^2,
+
+    every division exact and J_0 = -det^2.  Then det V_k = -J_k / (det^2
+    Delta_k), so pivot k is J_k Delta_{k-1} / (J_{k-1} Delta_k): O(n)
+    integer work and one ``Fraction`` per pivot.
     """
     scan = _root_scan(curve, zc)
     if not scan.best:  # radical values dependent (None), or a vanishing root (0)
@@ -366,27 +441,26 @@ def support_form(curve: KodairaCurve, zc: CentralCharge) -> SupportForm:
 
     # ker Z by Cramer's rule: z0 != 0 is the first pivot column, q the second
     q = next(j for j in range(1, len(zs)) if cross(0, j))
-    free = [(f, -cross(0, f)) for f in range(1, len(zs)) if f != q]
+    avec = [-cross(0, f) for f in range(1, len(zs)) if f != q]
     det = cross(0, q)
-    g = math.gcd(det, *(a for _, a in free))
+    g = math.gcd(det, *avec)
     det //= g
-    free = [(f, a // g) for f, a in free]
+    avec = [a // g for a in avec]
     # Z vanishes on its kernel, so there Q is the Euler pairing alone; ker Z meets
     # the radical only in 0, so that pairing is negative definite on it
-    gq = gram[q]
-    neg_restricted = [
-        [
-            -det * (det * gram[f][h] + ah * gram[f][q]) - af * (det * gq[h] + ah * gq[q])
-            for h, ah in free
-        ]
-        for f, af in free
-    ]
-    pivots = psd_pivots(neg_restricted)
-    assert all(pivots)
-    return SupportForm(
-        matrix=tuple(tuple(row) for row in mat),
-        kernel_pivots=tuple(Fraction(d, det * det) for d in pivots),
-    )
+    alphas, pivots = [], []
+    saa = san = 0
+    d0, j0 = 1, -det * det
+    for a, (d1, nu, tnn, r, c, terms) in zip(avec, _kernel_factor(curve, q)):
+        alpha = (c * a + sum(ci * alphas[i] for i, ci in terms)) // r
+        alphas.append(alpha)
+        saa = (d1 * saa + alpha * alpha) // d0
+        san = (d1 * san + alpha * nu) // d0
+        j1 = saa * tnn - (det * d1 + san) ** 2
+        assert j1 < 0  # det V_k > 0: the pivots are positive
+        pivots.append(Fraction(j1 * d0, j0 * d1))
+        d0, j0 = d1, j1
+    return SupportForm(matrix=tuple(tuple(row) for row in mat), kernel_pivots=tuple(pivots))
 
 
 def is_stability_function(curve: KodairaCurve, zc: CentralCharge) -> bool:

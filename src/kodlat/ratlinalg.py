@@ -2,10 +2,12 @@
 
 The semidefiniteness certificate (``psd_pivots``) is a fraction-free
 symmetric elimination on an integer matrix; only its pivots are
-``Fraction``s.  No kernel bases are computed here: the support form's kernel
-has a closed form on integers (see ``charge.support_form``).  The
-two-dimensional lattice reduction and closest-vector search behind the root
-scan work on plain integer pairs: callers clear denominators first.
+``Fraction``s.  It is no longer on the support form's path: that form's
+kernel and its pivots have a closed form on integers, from a per-curve
+factorization (see ``charge.support_form``), and ``psd_pivots`` remains for
+certifying a whole Gram matrix.  The two-dimensional lattice reduction and
+closest-vector search behind the root scan work on plain integer pairs:
+callers clear denominators first.
 """
 
 from __future__ import annotations

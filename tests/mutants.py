@@ -11,7 +11,10 @@ place.  For each entry the script copies ``src``, ``tests`` and
 ``pyproject.toml`` to a temporary directory, makes that one edit there,
 runs the named tests with pytest, and counts the mutant as killed only when
 every named test fails.  It prints one line per mutant with its time, and
-exits with status 1 when a mutant survives.  ``test_mutants.py`` checks in
+exits with status 1 when a mutant survives.  Each pytest run has a time
+limit (``TIMEOUT`` seconds): a run that reaches it is stopped, with every
+process it started, and the mutant counts as ``killed (timeout)``, since a
+hang is a detected change.  ``test_mutants.py`` checks in
 the suite that each source text occurs exactly once under ``src``, so a
 change that moves such code updates its entry too.  To choose the ids of a
 new entry, ``failing_tests(mutant, ["tests"])`` lists every test it fails.
@@ -21,14 +24,16 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 60  # seconds per pytest run; each entry's own tests take a few
 
 
 class Mutant(NamedTuple):
@@ -118,14 +123,50 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "det instead of det^2 under the kernel pivots",
+        "S_aa(k) divided by Delta_k instead of Delta_{k-1}",
         "src/kodlat/charge.py",
-        "kernel_pivots=tuple(Fraction(d, det * det) for d in pivots)",
-        "kernel_pivots=tuple(Fraction(d, det) for d in pivots)",
+        "saa = (d1 * saa + alpha * alpha) // d0",
+        "saa = (d1 * saa + alpha * alpha) // d1",
         (
             "tests/test_charge.py::TestSupportForm::test_kernel_pivots_pinned",
             "tests/test_charge.py::TestSupportForm::test_kernel_pivots_match_term_by_term_oracle",
             "tests/test_identity.py::test_digest_pinned[support_form]",
+        ),
+    ),
+    Mutant(
+        "J_0 = -det instead of -det^2",
+        "src/kodlat/charge.py",
+        "d0, j0 = 1, -det * det",
+        "d0, j0 = 1, -det",
+        (
+            "tests/test_charge.py::TestSupportForm::test_kernel_pivots_pinned",
+            "tests/test_charge.py::TestSupportForm::test_kernel_pivots_match_term_by_term_oracle",
+            "tests/test_identity.py::test_digest_pinned[support_form]",
+        ),
+    ),
+    Mutant(
+        "the kernel factor looked up with q = 1",
+        "src/kodlat/charge.py",
+        "_kernel_factor(curve, q)",
+        "_kernel_factor(curve, 1)",
+        (  # on I_2, III, I_3 and IV every node's cut gives the same factor
+            "tests/test_charge.py::TestSupportForm"
+            "::test_kernel_pivots_for_every_second_pivot_column[I_8]",
+            "tests/test_charge.py::TestSupportForm"
+            "::test_kernel_pivots_for_every_second_pivot_column[IVStar]",
+            "tests/test_identity.py::test_digest_pinned[support_form]",
+        ),
+    ),
+    Mutant(
+        "the kernel factor's fill dropped",
+        "src/kodlat/charge.py",
+        "upper[k][l] = upper[k].get(l, 0) - lk * y",
+        "if l in upper[k]: upper[k][l] -= lk * y",
+        (
+            "tests/test_charge.py::TestSupportForm"
+            "::test_kernel_pivots_for_every_second_pivot_column[I_8]",
+            "tests/test_charge.py::TestSupportForm"
+            "::test_kernel_pivots_for_every_second_pivot_column[IIIStar]",
         ),
     ),
     Mutant(
@@ -240,9 +281,10 @@ MUTANTS = (
 )
 
 
-def failing_tests(mutant: Mutant, tests=None) -> set[str]:
+def failing_tests(mutant: Mutant, tests=None, timeout: float = TIMEOUT) -> Optional[set[str]]:
     """The node ids among ``tests`` (by default the mutant's own) that fail
-    or error on a copy of the tree with the mutant applied."""
+    or error on a copy of the tree with the mutant applied, or None when
+    the run reaches ``timeout`` seconds and is stopped."""
     with tempfile.TemporaryDirectory(prefix="kodlat-mutant-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
@@ -253,14 +295,22 @@ def failing_tests(mutant: Mutant, tests=None) -> set[str]:
         assert text.count(mutant.source) == 1, f"{mutant.name}: source not found once"
         target.write_text(text.replace(mutant.source, mutant.replacement))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
+        # a session of its own, so a timeout stops the CLI processes the tests start too
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
              *(tests or mutant.tests)],
-            cwd=tmp, env=env, capture_output=True, text=True,
+            cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            start_new_session=True,
         )
+        try:
+            stdout, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None
     return {
         line.split()[1]
-        for line in proc.stdout.splitlines()
+        for line in stdout.splitlines()
         if line.startswith(("FAILED ", "ERROR "))
     }
 
@@ -270,9 +320,10 @@ def main(argv: list[str]) -> int:
     survived = 0
     for mutant in chosen:
         start = time.perf_counter()
-        missed = set(mutant.tests) - failing_tests(mutant)
+        failed = failing_tests(mutant)
+        missed = set() if failed is None else set(mutant.tests) - failed
         survived += bool(missed)
-        status = "SURVIVED" if missed else "killed"
+        status = "SURVIVED" if missed else "killed (timeout)" if failed is None else "killed"
         print(f"{status:8} {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
         for test in sorted(missed):
             print(f"         still passes: {test}")

@@ -480,6 +480,30 @@ class TestSupportForm:
                     assert support_form(curve, zc).kernel_pivots == cramer_kernel_pivots(curve, zc)
         assert checked >= 100
 
+    @pytest.mark.parametrize(
+        "label",
+        ["I_2", "III", "IV", "I_8", "I_20", "mI_5_2", "IStar_1", "IStar_8", "IVStar",
+         "IIIStar", "IIStar"],
+    )
+    def test_kernel_pivots_for_every_second_pivot_column(self, label):
+        # z_1 .. z_{q-1} are small real multiples of z0, so the Cramer kernel's
+        # second pivot column is q: the factor of N_F is then the one with q cut
+        # out, which fills a column on a cycle and has non-unit row denominators
+        curve = curve_from_label(label)
+        rng = random.Random(f"forced-q:{label}")
+        for q in range(1, curve.n + 1):
+            checked = 0
+            while checked < 2:
+                z0, zq = random_qc(rng), random_qc(rng)
+                if z0.re * zq.im == z0.im * zq.re:
+                    continue
+                lead = [z0.scale(Fraction(1, 97 * j)) for j in range(1, q)]
+                rest = [random_qc(rng) for _ in range(curve.n - q)]
+                zc = CentralCharge(z0, (*lead, zq, *rest))
+                if membership(curve, zc).in_p0:
+                    checked += 1
+                    assert support_form(curve, zc).kernel_pivots == cramer_kernel_pivots(curve, zc)
+
     @given(
         st.sampled_from(["I_2", "IV", "IStar_0", "IVStar"]),
         st.integers(0, 10**6),
