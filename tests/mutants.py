@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 60  # seconds per pytest run; each entry's own tests take a few
+TIMEOUT = 60  # seconds per pytest run; an entry's own tests take a few seconds
 
 
 class Mutant(NamedTuple):
