@@ -12,7 +12,6 @@ from .catalog import (
     KodairaCurve,
     build_curve,
     curve_from_label,
-    gram_matrix,
     list_types,
     parse_curve_id,
 )

@@ -13,15 +13,18 @@ projective lines whose dual graph is an affine Dynkin diagram:
     IVStar           seven lines                          E~_6
 
 Irreducible fibers (I_0, I_1, II and their multiple versions) are out of
-scope.  Node orderings are fixed once and for all below; every adjacency,
-mark vector and Gram matrix in the library refers to them.  ``marks`` are
-the multiplicities of the components in the (reduced) fiber cycle, i.e. the
-unique primitive vector spanning the kernel of the Gram matrix.
+scope.  Each family is described once, as marks, an edge list and an
+affine node, and the Gram matrix is filled from the edges; III and IV are
+the graphs of I_2 and I_3 and share their lattice data.  Node orderings
+are fixed once and for all below; every adjacency, mark vector and Gram
+matrix in the library refers to them.  ``marks`` are the multiplicities of
+the components in the (reduced) fiber cycle, i.e. the unique primitive
+vector spanning the kernel of the Gram matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -40,7 +43,18 @@ class Family(str, Enum):
     MI = "mI"
 
 
-_PARAMETRIC_N = {Family.I, Family.MI, Family.ISTAR}
+# Each family's parameters with their least values, in catalog order: the
+# one source of both CurveId validation and the catalog listing.
+_PARAMETERS = {
+    Family.I: (("N", 2),),
+    Family.MI: (("N", 2), ("m", 2)),
+    Family.III: (),
+    Family.IV: (),
+    Family.ISTAR: (("N", 0),),
+    Family.IISTAR: (),
+    Family.IIISTAR: (),
+    Family.IVSTAR: (),
+}
 
 
 @dataclass(frozen=True)
@@ -56,20 +70,15 @@ class CurveId:
     m: Optional[int] = None
 
     def __post_init__(self):
-        fam = self.family
-        if fam in (Family.I, Family.MI):
-            if self.N is None or self.N < 2:
-                raise InvalidParams(f"{fam.value} requires N >= 2, got N={self.N}")
-        elif fam is Family.ISTAR:
-            if self.N is None or self.N < 0:
-                raise InvalidParams(f"IStar requires N >= 0, got N={self.N}")
-        elif self.N is not None:
-            raise InvalidParams(f"{fam.value} takes no N parameter")
-        if fam is Family.MI:
-            if self.m is None or self.m < 2:
-                raise InvalidParams(f"mI requires multiplicity m >= 2, got m={self.m}")
-        elif self.m is not None:
-            raise InvalidParams(f"{fam.value} takes no multiplicity parameter")
+        fam, least = self.family.value, dict(_PARAMETERS[self.family])
+        if "N" not in least and self.N is not None:
+            raise InvalidParams(f"{fam} takes no N parameter")
+        if "N" in least and (self.N is None or self.N < least["N"]):
+            raise InvalidParams(f"{fam} requires N >= {least['N']}, got N={self.N}")
+        if "m" not in least and self.m is not None:
+            raise InvalidParams(f"{fam} takes no multiplicity parameter")
+        if "m" in least and (self.m is None or self.m < least["m"]):
+            raise InvalidParams(f"{fam} requires multiplicity m >= {least['m']}, got m={self.m}")
 
     @property
     def label(self) -> str:
@@ -106,20 +115,27 @@ def parse_curve_id(text: str) -> CurveId:
 class KodairaCurve:
     """A built curve type: component count, dual graph and pairing data.
 
-    ``adjacency[i][j]`` counts intersection points of components i and j with
-    multiplicity; ``gram`` is adjacency off the diagonal and -2 on it (the
-    negated affine Cartan matrix of the family).  ``affine_node`` is the
-    0-based index of the distinguished mark-1 node whose deletion leaves the
-    finite Dynkin diagram; it is the last node for the cycle families and is
-    fixed per star family below.
+    Built from the family's marks, edges and affine node, it stores one
+    matrix: ``gram[i][j]`` counts intersection points of components i and j
+    with multiplicity off the diagonal and is -2 on it (the negated affine
+    Cartan matrix of the family); ``adjacency`` is derived from it, with 0
+    on the diagonal.  ``affine_node`` is the 0-based index of the
+    distinguished mark-1 node whose deletion leaves the finite Dynkin
+    diagram; it is the last node for the cycle families and is fixed per
+    star family below.  A built curve is a pure function of its id, so
+    curves compare and hash by ``id`` alone.
     """
 
     id: CurveId
-    n: int
-    marks: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
-    affine_node: int
+    n: int = field(compare=False)
+    marks: tuple[int, ...] = field(compare=False)
+    gram: tuple[tuple[int, ...], ...] = field(compare=False)
+    affine_node: int = field(compare=False)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``gram`` with its -2 diagonal replaced by 0."""
+        return tuple(row[:i] + (0,) + row[i + 1:] for i, row in enumerate(self.gram))
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.id.family.value}
@@ -134,28 +150,7 @@ class KodairaCurve:
         return out
 
 
-def _cycle_adjacency(n: int) -> list[list[int]]:
-    # cycle of n lines; for n = 2 the two components meet in two points
-    adj = [[0] * n for _ in range(n)]
-    if n == 2:
-        adj[0][1] = adj[1][0] = 2
-    else:
-        for i in range(n):
-            j = (i + 1) % n
-            adj[i][j] += 1
-            adj[j][i] += 1
-    return adj
-
-
-def _edges_to_adjacency(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    adj = [[0] * n for _ in range(n)]
-    for i, j in edges:
-        adj[i][j] += 1
-        adj[j][i] += 1
-    return adj
-
-
-def _dstar_data(big_n: int) -> tuple[int, list[int], list[list[int]], int]:
+def _dstar_data(big_n: int) -> tuple[list[int], list[tuple[int, int]], int]:
     # D~_{big_n+4}: four mark-1 leaves, a mark-2 chain of big_n+1 nodes.
     #
     #   0           2
@@ -166,101 +161,74 @@ def _dstar_data(big_n: int) -> tuple[int, list[int], list[list[int]], int]:
     #
     # Nodes 0,1 attach to chain head 4; nodes 2,3 to the chain tail n-1.
     # For big_n = 0 the chain is the single node 4.  Affine node: 0.
-    n = big_n + 5
-    head, tail = 4, n - 1
-    edges = [(0, head), (1, head), (2, tail), (3, tail)]
-    edges += [(c, c + 1) for c in range(head, tail)]
-    marks = [1, 1, 1, 1] + [2] * (big_n + 1)
-    return n, marks, _edges_to_adjacency(n, edges), 0
+    tail = big_n + 4
+    edges = [(0, 4), (1, 4), (2, tail), (3, tail)] + [(c, c + 1) for c in range(4, tail)]
+    return [1, 1, 1, 1] + [2] * (big_n + 1), edges, 0
 
 
-def _estar_data(family: Family) -> tuple[int, list[int], list[list[int]], int]:
-    if family is Family.IISTAR:
-        # E~_8: chain 0..7 with a branch node 8 on node 5.
-        #
-        #                       8 (3)
-        #                       |
-        #   0 - 1 - 2 - 3 - 4 - 5 - 6 - 7
-        #  (1) (2) (3) (4) (5) (6) (4) (2)
-        #
-        # Affine node: 0.
-        marks = [1, 2, 3, 4, 5, 6, 4, 2, 3]
-        edges = [(i, i + 1) for i in range(7)] + [(5, 8)]
-        return 9, marks, _edges_to_adjacency(9, edges), 0
-    if family is Family.IIISTAR:
-        # E~_7: chain 0..6 with a branch node 7 on the middle node 3.
-        #
-        #               7 (2)
-        #               |
-        #   0 - 1 - 2 - 3 - 4 - 5 - 6
-        #  (1) (2) (3) (4) (3) (2) (1)
-        #
-        # Affine node: 0.
-        marks = [1, 2, 3, 4, 3, 2, 1, 2]
-        edges = [(i, i + 1) for i in range(6)] + [(3, 7)]
-        return 8, marks, _edges_to_adjacency(8, edges), 0
-    if family is Family.IVSTAR:
-        # E~_6: chain 0..4, branch node 5 on the middle node 2, tip 6 on 5.
-        #
-        #   0 - 1 - 2 - 3 - 4
-        #  (1) (2) (3) (2) (1)
-        #           |
-        #           5 (2)
-        #           |
-        #           6 (1)
-        #
-        # Affine node: 6 (the tip of the short central arm).
-        marks = [1, 2, 3, 2, 1, 2, 1]
-        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]
-        return 7, marks, _edges_to_adjacency(7, edges), 6
-    raise InvalidParams(f"not a star family: {family}")
+# The three E~ types as (marks, edges, affine node).
+_ESTAR_DATA = {
+    # E~_8: chain 0..7 with a branch node 8 on node 5.
+    #
+    #                       8 (3)
+    #                       |
+    #   0 - 1 - 2 - 3 - 4 - 5 - 6 - 7
+    #  (1) (2) (3) (4) (5) (6) (4) (2)
+    #
+    # Affine node: 0.
+    Family.IISTAR: ([1, 2, 3, 4, 5, 6, 4, 2, 3], [(i, i + 1) for i in range(7)] + [(5, 8)], 0),
+    # E~_7: chain 0..6 with a branch node 7 on the middle node 3.
+    #
+    #               7 (2)
+    #               |
+    #   0 - 1 - 2 - 3 - 4 - 5 - 6
+    #  (1) (2) (3) (4) (3) (2) (1)
+    #
+    # Affine node: 0.
+    Family.IIISTAR: ([1, 2, 3, 4, 3, 2, 1, 2], [(i, i + 1) for i in range(6)] + [(3, 7)], 0),
+    # E~_6: chain 0..4, branch node 5 on the middle node 2, tip 6 on 5.
+    #
+    #   0 - 1 - 2 - 3 - 4
+    #  (1) (2) (3) (2) (1)
+    #           |
+    #           5 (2)
+    #           |
+    #           6 (1)
+    #
+    # Affine node: 6 (the tip of the short central arm).
+    Family.IVSTAR: ([1, 2, 3, 2, 1, 2, 1], [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)], 6),
+}
 
 
 @lru_cache(maxsize=None)
 def build_curve(curve_id: CurveId) -> KodairaCurve:
     """Construct the curve data for a validated CurveId."""
     fam = curve_id.family
-    if fam in (Family.I, Family.MI):
-        n = curve_id.N
-        marks = [1] * n
-        adj = _cycle_adjacency(n)
-        affine = n - 1
-    elif fam is Family.III:
-        n, marks, affine = 2, [1, 1], 1
-        adj = [[0, 2], [2, 0]]
-    elif fam is Family.IV:
-        n, marks, affine = 3, [1, 1, 1], 2
-        adj = _edges_to_adjacency(3, [(0, 1), (0, 2), (1, 2)])
+    if fam in _ESTAR_DATA:
+        marks, edges, affine = _ESTAR_DATA[fam]
     elif fam is Family.ISTAR:
-        n, marks, adj, affine = _dstar_data(curve_id.N)
+        marks, edges, affine = _dstar_data(curve_id.N)
     else:
-        n, marks, adj, affine = _estar_data(fam)
-    gram = tuple(
-        tuple(-2 if i == j else adj[i][j] for j in range(n)) for i in range(n)
-    )
-    curve = KodairaCurve(
-        id=curve_id,
-        n=n,
-        marks=tuple(marks),
-        adjacency=tuple(tuple(row) for row in adj),
-        gram=gram,
-        affine_node=affine,
-    )
+        # a cycle of n lines, the last one affine; for n = 2 the edges
+        # (0, 1) and (1, 0) make the double edge of I_2 and III
+        n = {Family.III: 2, Family.IV: 3}.get(fam, curve_id.N)
+        marks, edges, affine = [1] * n, [(i, (i + 1) % n) for i in range(n)], n - 1
+    n = len(marks)
+    gram = [[0] * i + [-2] + [0] * (n - 1 - i) for i in range(n)]
+    balance = [-2 * a for a in marks]  # gram . marks, filled with the matrix
+    for i, j in edges:
+        gram[i][j] += 1
+        gram[j][i] += 1
+        balance[i] += marks[j]
+        balance[j] += marks[i]
     # the marks must span the kernel: gram . marks = 0, affine mark = 1
-    assert all(
-        sum(g * a for g, a in zip(row, curve.marks)) == 0 for row in curve.gram
-    )
-    assert curve.marks[curve.affine_node] == 1
-    return curve
+    assert not any(balance)
+    assert marks[affine] == 1
+    return KodairaCurve(curve_id, n, tuple(marks), tuple(map(tuple, gram)), affine)
 
 
 def curve_from_label(text: str) -> KodairaCurve:
     return build_curve(parse_curve_id(text))
-
-
-def gram_matrix(curve: KodairaCurve) -> tuple[tuple[int, ...], ...]:
-    """The stored Gram matrix (negated affine Cartan matrix)."""
-    return curve.gram
 
 
 @dataclass(frozen=True)
@@ -281,13 +249,11 @@ class FamilyInfo:
 
 def list_types() -> tuple[FamilyInfo, ...]:
     """The eight reducible families with their parameter arity."""
-    return (
-        FamilyInfo(Family.I, ("N",), "N >= 2"),
-        FamilyInfo(Family.MI, ("N", "m"), "N >= 2, m >= 2"),
-        FamilyInfo(Family.III, (), ""),
-        FamilyInfo(Family.IV, (), ""),
-        FamilyInfo(Family.ISTAR, ("N",), "N >= 0"),
-        FamilyInfo(Family.IISTAR, (), ""),
-        FamilyInfo(Family.IIISTAR, (), ""),
-        FamilyInfo(Family.IVSTAR, (), ""),
+    return tuple(
+        FamilyInfo(
+            fam,
+            tuple(name for name, _ in params),
+            ", ".join(f"{name} >= {least}" for name, least in params),
+        )
+        for fam, params in _PARAMETERS.items()
     )

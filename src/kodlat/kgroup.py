@@ -8,7 +8,6 @@ curve's Gram matrix; chi pairs trivially with everything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .catalog import Family, KodairaCurve
@@ -88,14 +87,6 @@ def pair(curve: KodairaCurve, v: KClass, w: KClass) -> int:
     return total
 
 
-def gram_apply(curve: KodairaCurve, v: KClass) -> tuple[int, ...]:
-    """The vector gram . ranks(v); entry i is <v, e_i> for component i."""
-    check_dimension(curve, v.ranks)
-    return tuple(
-        sum(curve.gram[i][j] * v.ranks[j] for j in range(curve.n)) for i in range(curve.n)
-    )
-
-
 @dataclass(frozen=True)
 class RadicalBasis:
     """Basis of the pairing radical.
@@ -112,8 +103,7 @@ class RadicalBasis:
 
 
 def radical_basis(curve: KodairaCurve) -> RadicalBasis:
-    g = math.gcd(*curve.marks)
-    cycle = KClass(0, tuple(a // g for a in curve.marks))
+    cycle = KClass(0, curve.marks)  # primitive: the affine mark is 1
     mult = curve.id.m if curve.id.family is Family.MI else 1
     return RadicalBasis(
         skyscraper=KClass(1, (0,) * curve.n),

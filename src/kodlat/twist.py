@@ -17,7 +17,7 @@ from .catalog import KodairaCurve
 from .charge import CentralCharge
 from .errors import ParseError
 from .exact import clear_denominators, from_scaled
-from .kgroup import KClass, check_dimension, check_index, gram_apply, line_bundle_class
+from .kgroup import KClass, check_dimension, check_index, line_bundle_class
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def reflect_class(curve: KodairaCurve, i: int, k: int, v: KClass) -> KClass:
     check_index(curve, i)
     check_dimension(curve, v.ranks)
     delta = line_bundle_class(curve, i, k)
-    coeff = gram_apply(curve, v)[i - 1]  # <v, delta> depends on ranks only
+    # <v, delta> depends on ranks only: their dot product with Gram row i
+    coeff = sum(g * r for g, r in zip(curve.gram[i - 1], v.ranks))
     return v + delta.scale(coeff)
 
 

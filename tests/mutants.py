@@ -278,6 +278,41 @@ MUTANTS = (
             "tests/test_twist.py::TestReflectClass::test_index_checked",
         ),
     ),
+    Mutant(
+        "the first node of a cycle made affine",
+        "src/kodlat/catalog.py",
+        "[(i, (i + 1) % n) for i in range(n)], n - 1",
+        "[(i, (i + 1) % n) for i in range(n)], 0",
+        (
+            "tests/test_catalog.py::test_pinned_small_matrices",
+            "tests/test_roots.py::test_pinned_i2_fundamental_roots",
+            "tests/test_identity.py::test_digest_pinned[membership]",
+            "tests/test_cli_identity.py::test_cli_digest_pinned[roots]",
+        ),
+    ),
+    Mutant(
+        "the least N refused",
+        "src/kodlat/catalog.py",
+        'self.N < least["N"]',
+        'self.N <= least["N"]',
+        (
+            "tests/test_catalog.py::test_least_parameters_accepted[I-2-None]",
+            "tests/test_catalog.py::test_least_parameters_accepted[mI-2-2]",
+            "tests/test_catalog.py::test_least_parameters_accepted[IStar-0-None]",
+            "tests/test_catalog.py::test_pinned_small_matrices",
+        ),
+    ),
+    Mutant(
+        "the derived adjacency keeps the -2 diagonal",
+        "src/kodlat/catalog.py",
+        "row[:i] + (0,) + row[i + 1:]",
+        "row[:i] + (-2,) + row[i + 1:]",
+        (
+            "tests/test_catalog.py::test_cartan_facts[I_2]",
+            "tests/test_catalog.py::test_cartan_facts[IIStar]",
+            "tests/test_cli_identity.py::test_cli_digest_pinned[catalog]",
+        ),
+    ),
 )
 
 

@@ -8,9 +8,9 @@ from kodlat import (
     CurveId,
     Family,
     InvalidParams,
+    KodairaCurve,
     build_curve,
     curve_from_label,
-    gram_matrix,
     list_types,
     parse_curve_id,
 )
@@ -29,6 +29,66 @@ def test_list_types_has_eight_families():
     infos = list_types()
     assert len(infos) == 8
     assert {i.family for i in infos} == set(Family)
+
+
+def test_list_types_pinned():
+    assert [(i.family.value, i.parameters, i.constraints) for i in list_types()] == [
+        ("I", ("N",), "N >= 2"),
+        ("mI", ("N", "m"), "N >= 2, m >= 2"),
+        ("III", (), ""),
+        ("IV", (), ""),
+        ("IStar", ("N",), "N >= 0"),
+        ("IIStar", (), ""),
+        ("IIIStar", (), ""),
+        ("IVStar", (), ""),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, N, m",
+    [
+        (Family.I, 2, None),
+        (Family.MI, 2, 2),
+        (Family.III, None, None),
+        (Family.IV, None, None),
+        (Family.ISTAR, 0, None),
+        (Family.IISTAR, None, None),
+        (Family.IIISTAR, None, None),
+        (Family.IVSTAR, None, None),
+    ],
+)
+def test_least_parameters_accepted(family, N, m):
+    assert CurveId(family, N, m).N == N
+
+
+@pytest.mark.parametrize(
+    "family, N, m, message",
+    [
+        (Family.I, 1, None, "I requires N >= 2, got N=1"),
+        (Family.I, None, None, "I requires N >= 2, got N=None"),
+        (Family.I, 2, 2, "I takes no multiplicity parameter"),
+        (Family.MI, 1, 2, "mI requires N >= 2, got N=1"),
+        (Family.MI, 2, 1, "mI requires multiplicity m >= 2, got m=1"),
+        (Family.MI, 2, None, "mI requires multiplicity m >= 2, got m=None"),
+        (Family.III, 2, None, "III takes no N parameter"),
+        (Family.III, None, 2, "III takes no multiplicity parameter"),
+        (Family.IV, 3, None, "IV takes no N parameter"),
+        (Family.IV, None, 2, "IV takes no multiplicity parameter"),
+        (Family.ISTAR, -1, None, "IStar requires N >= 0, got N=-1"),
+        (Family.ISTAR, None, None, "IStar requires N >= 0, got N=None"),
+        (Family.ISTAR, 0, 2, "IStar takes no multiplicity parameter"),
+        (Family.IISTAR, 0, None, "IIStar takes no N parameter"),
+        (Family.IISTAR, None, 2, "IIStar takes no multiplicity parameter"),
+        (Family.IIISTAR, 0, None, "IIIStar takes no N parameter"),
+        (Family.IIISTAR, None, 2, "IIIStar takes no multiplicity parameter"),
+        (Family.IVSTAR, 0, None, "IVStar takes no N parameter"),
+        (Family.IVSTAR, None, 2, "IVStar takes no multiplicity parameter"),
+    ],
+)
+def test_invalid_params_message(family, N, m, message):
+    with pytest.raises(InvalidParams) as info:
+        CurveId(family, N, m)
+    assert str(info.value) == message
 
 
 def test_parse_labels():
@@ -67,6 +127,16 @@ def test_pinned_small_matrices():
     assert istar0.gram[4] == (1, 1, 1, 1, -2)
 
 
+@pytest.mark.parametrize("label, cycle", [("III", "I_2"), ("IV", "I_3")])
+def test_iii_and_iv_share_the_cycle_data(label, cycle):
+    curve, same = curve_from_label(label), curve_from_label(cycle)
+    assert curve.gram == same.gram
+    assert curve.marks == same.marks
+    assert curve.affine_node == same.affine_node
+    assert curve.adjacency == same.adjacency
+    assert curve != same
+
+
 def test_component_counts():
     assert curve_from_label("I_5").n == 5
     assert curve_from_label("mI_2_3").n == 2
@@ -80,7 +150,7 @@ def test_component_counts():
 def test_cartan_facts(label):
     """Symmetry, -2 diagonal, kernel spanned by the marks, affine balance."""
     curve = curve_from_label(label)
-    g = gram_matrix(curve)
+    g = curve.gram
     n = curve.n
     assert len(g) == n and all(len(row) == n for row in g)
     for i in range(n):
@@ -114,6 +184,13 @@ def test_serialization_round_trip():
     rebuilt = build_curve(CurveId(Family(data["family"]), data.get("N"), data.get("m")))
     assert rebuilt == curve
     assert "m" not in curve_from_label("I_2").to_dict()
+
+
+@pytest.mark.parametrize("label", ["I_2", "mI_2_3", "III", "IStar_1", "IVStar"])
+def test_equality_and_hash_by_id(label):
+    curve = curve_from_label(label)
+    bare = KodairaCurve(curve.id, 0, (), (), 0)
+    assert bare == curve and hash(bare) == hash(curve)
 
 
 def test_build_is_cached():
