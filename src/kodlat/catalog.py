@@ -14,19 +14,20 @@ projective lines whose dual graph is an affine Dynkin diagram:
 
 Irreducible fibers (I_0, I_1, II and their multiple versions) are out of
 scope.  Each family is described once, as marks, an edge list and an
-affine node, and the Gram matrix is filled from the edges; III and IV are
+affine node, and a built curve stores the neighbour lists filled from the
+edges; the dense Gram matrix is a view built on first use.  III and IV are
 the graphs of I_2 and I_3 and share their lattice data.  Node orderings
-are fixed once and for all below; every adjacency, mark vector and Gram
-matrix in the library refers to them.  ``marks`` are the multiplicities of
-the components in the (reduced) fiber cycle, i.e. the unique primitive
-vector spanning the kernel of the Gram matrix.
+are fixed once and for all below; every neighbour list, adjacency, mark
+vector and Gram matrix in the library refers to them.  ``marks`` are the
+multiplicities of the components in the (reduced) fiber cycle, i.e. the
+unique primitive vector spanning the kernel of the Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import InvalidParams
@@ -70,6 +71,9 @@ class CurveId:
     m: Optional[int] = None
 
     def __post_init__(self):
+        for value in (self.N, self.m):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise InvalidParams(f"curve parameters must be integers, got {value!r}")
         fam, least = self.family.value, dict(_PARAMETERS[self.family])
         if "N" not in least and self.N is not None:
             raise InvalidParams(f"{fam} takes no N parameter")
@@ -115,22 +119,38 @@ def parse_curve_id(text: str) -> CurveId:
 class KodairaCurve:
     """A built curve type: component count, dual graph and pairing data.
 
-    Built from the family's marks, edges and affine node, it stores one
-    matrix: ``gram[i][j]`` counts intersection points of components i and j
-    with multiplicity off the diagonal and is -2 on it (the negated affine
-    Cartan matrix of the family); ``adjacency`` is derived from it, with 0
-    on the diagonal.  ``affine_node`` is the 0-based index of the
-    distinguished mark-1 node whose deletion leaves the finite Dynkin
-    diagram; it is the last node for the cycle families and is fixed per
-    star family below.  A built curve is a pure function of its id, so
-    curves compare and hash by ``id`` alone.
+    Built from the family's marks, edges and affine node, it stores the
+    dual graph: ``neighbours[i]`` lists the components meeting component i,
+    once per intersection point (twice for the double edge of I_2, mI_2_m
+    and III).  The pairing is the negated affine Cartan matrix: -2 at a
+    node, plus one per listed neighbour.  ``gram`` is that matrix as a view
+    built on first use and kept, for the outputs that print it;
+    ``adjacency`` is derived from it, with 0 on the diagonal.
+    ``affine_node`` is the 0-based index of the distinguished mark-1 node
+    whose deletion leaves the finite Dynkin diagram; it is the last node
+    for the cycle families and is fixed per star family below.  A built
+    curve is a pure function of its id, so curves compare and hash by
+    ``id`` alone.
     """
 
     id: CurveId
     n: int = field(compare=False)
     marks: tuple[int, ...] = field(compare=False)
-    gram: tuple[tuple[int, ...], ...] = field(compare=False)
+    neighbours: tuple[tuple[int, ...], ...] = field(compare=False)
     affine_node: int = field(compare=False)
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """``gram[i][j]`` counts the intersection points of components i and j
+        off the diagonal and is -2 on it, filled row by row from the lists."""
+        return tuple(tuple(self.add_gram_row([0] * self.n, i)) for i in range(self.n))
+
+    def add_gram_row(self, vec: list[int], i: int) -> list[int]:
+        """Add Gram row i to ``vec`` in place, and return it: -2 at i, 1 per neighbour."""
+        vec[i] -= 2
+        for j in self.neighbours[i]:
+            vec[j] += 1
+        return vec
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -213,18 +233,14 @@ def build_curve(curve_id: CurveId) -> KodairaCurve:
         # (0, 1) and (1, 0) make the double edge of I_2 and III
         n = {Family.III: 2, Family.IV: 3}.get(fam, curve_id.N)
         marks, edges, affine = [1] * n, [(i, (i + 1) % n) for i in range(n)], n - 1
-    n = len(marks)
-    gram = [[0] * i + [-2] + [0] * (n - 1 - i) for i in range(n)]
-    balance = [-2 * a for a in marks]  # gram . marks, filled with the matrix
+    nbrs: list[list[int]] = [[] for _ in marks]
     for i, j in edges:
-        gram[i][j] += 1
-        gram[j][i] += 1
-        balance[i] += marks[j]
-        balance[j] += marks[i]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     # the marks must span the kernel: gram . marks = 0, affine mark = 1
-    assert not any(balance)
+    assert all(sum(marks[j] for j in nb) == 2 * a for nb, a in zip(nbrs, marks))
     assert marks[affine] == 1
-    return KodairaCurve(curve_id, n, tuple(marks), tuple(map(tuple, gram)), affine)
+    return KodairaCurve(curve_id, len(marks), tuple(marks), tuple(map(tuple, nbrs)), affine)
 
 
 def curve_from_label(text: str) -> KodairaCurve:

@@ -28,7 +28,7 @@ from .errors import (
     StepLimitExceeded,
 )
 from .exact import QC, clear_denominators, format_rational, from_scaled
-from .kgroup import KClass, check_dimension, check_index, line_bundle_class, radical_basis
+from .kgroup import KClass, check_dimension, check_index, line_bundle_class
 from .roots import positive_roots
 from .twist import TwistGenerator, TwistWord, reflect_scaled
 
@@ -154,7 +154,7 @@ def _walk_length(curve: KodairaCurve, zs: list[tuple[int, int]]) -> int:
     for a positive root r and level = Im Z(cycle) > 0, r + m cycle counts
     for 0 <= m < -s / level and -r + m cycle for 1 <= m < s / level."""
     ys = [y for _, y in zs]
-    level = sum(c * y for c, y in zip(radical_basis(curve).cycle.ranks, ys))
+    level = sum(c * y for c, y in zip(curve.marks, ys))  # Im Z(cycle)
     roots = positive_roots(curve)
     sums = [0] * (len(roots) + 1)  # a parent p = -1 reads the last slot, 0
     count = 0

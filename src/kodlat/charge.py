@@ -173,11 +173,10 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     """
     check_dimension(curve, zc.z, "charge")
     den, zs = clear_denominators((zc.z0, *zc.z))
-    rad = radical_basis(curve)
     z0 = zs[0]
-    zrho = (
-        sum(r * x for r, (x, _) in zip(rad.cycle.ranks, zs[1:])),
-        sum(r * y for r, (_, y) in zip(rad.cycle.ranks, zs[1:])),
+    zrho = (  # the cycle's ranks are the marks
+        sum(r * x for r, (x, _) in zip(curve.marks, zs[1:])),
+        sum(r * y for r, (_, y) in zip(curve.marks, zs[1:])),
     )
     det = z0[0] * zrho[1] - zrho[0] * z0[1]
     if det == 0:
@@ -207,8 +206,8 @@ def _root_scan(curve: KodairaCurve, zc: CentralCharge) -> _Scan:
     # back to (z0, Z(cycle)) coordinates: reduced rows are umat times those
     c = x * umat[0][0] + y * umat[1][0]
     m = x * umat[0][1] + y * umat[1][1]
-    w0 = KClass(0, tuple(-r for r in table[-1 - i][0]))
-    witness = rad.skyscraper.scale(c) + w0 + rad.cycle.scale(m)
+    # the witness c ox + w0 + m cycle, with w0 the negated i-th root
+    witness = KClass(c, tuple(m * a - r for a, r in zip(curve.marks, table[-1 - i][0])))
     return _Scan(det, Fraction(best, den * den), witness, zs, best)
 
 
@@ -358,12 +357,14 @@ def _kernel_factor(curve: KodairaCurve, q: int) -> tuple[tuple, ...]:
     """
     free = [j for j in range(curve.n) if j != q - 1]
     where = {j: k for k, j in enumerate(free)}
-    diag = [Fraction(-curve.gram[j][j]) for j in free]
+    # N is 2 on its diagonal and minus the intersection count off it
+    diag = [Fraction(2)] * len(free)
     # upper[k][l] = the current entry (k, l) for l > k; lower[k][i] = L[k][i]
-    upper = [
-        {where[h]: Fraction(-g) for h, g in enumerate(curve.gram[j]) if g and where.get(h, -1) > k}
-        for k, j in enumerate(free)
-    ]
+    upper = [{} for _ in free]
+    for k, j in enumerate(free):
+        for l in (where.get(h, -1) for h in curve.neighbours[j]):
+            if l > k:
+                upper[k][l] = upper[k].get(l, 0) - 1
     lower: list[dict[int, Fraction]] = [{} for _ in free]
     for i, row in enumerate(upper):
         later = sorted(row.items())
@@ -376,17 +377,16 @@ def _kernel_factor(curve: KodairaCurve, q: int) -> tuple[tuple, ...]:
     minors = [1]
     for d in diag:
         minors.append(int(minors[-1] * d))
-    nqq = -curve.gram[q - 1][q - 1]
     steps, nus, snn = [], [], 0
     for k, j in enumerate(free):
         d0, d1 = minors[k], minors[k + 1]
         coeffs = [(i, -d0 * lki / minors[i]) for i, lki in sorted(lower[k].items())]
         r = math.lcm(*(c.denominator for _, c in coeffs))
         terms = tuple((i, int(c * r)) for i, c in coeffs)
-        nu = (-d0 * r * curve.gram[j][q - 1] + sum(c * nus[i] for i, c in terms)) // r
+        nu = (-d0 * r * curve.neighbours[j].count(q - 1) + sum(c * nus[i] for i, c in terms)) // r
         nus.append(nu)
         snn = (d1 * snn + nu * nu) // d0
-        steps.append((d1, nu, snn - nqq * d1, r, d0 * r, terms))
+        steps.append((d1, nu, snn - 2 * d1, r, d0 * r, terms))  # N_qq = 2
     return tuple(steps)
 
 

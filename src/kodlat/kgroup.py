@@ -3,7 +3,8 @@
 A class is written in the basis (point class, degree -1 line bundle on each
 component): an integer chi together with one integer rank per component.
 The Euler pairing descends to the rank vector alone and is given by the
-curve's Gram matrix; chi pairs trivially with everything.
+curve's Gram matrix, read from its neighbour lists; chi pairs trivially
+with everything.
 """
 
 from __future__ import annotations
@@ -79,11 +80,11 @@ def pair(curve: KodairaCurve, v: KClass, w: KClass) -> int:
     """Euler pairing <v, w> = ranks(v)^T gram ranks(w); chi is immaterial."""
     check_dimension(curve, v.ranks)
     check_dimension(curve, w.ranks)
+    wr = w.ranks
     total = 0
     for i, ri in enumerate(v.ranks):
-        if ri:
-            row = curve.gram[i]
-            total += ri * sum(g * rj for g, rj in zip(row, w.ranks))
+        if ri:  # Gram row i: -2 at i, plus one per listed neighbour
+            total += ri * (sum(wr[j] for j in curve.neighbours[i]) - 2 * wr[i])
     return total
 
 

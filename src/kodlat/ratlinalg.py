@@ -75,23 +75,6 @@ def lagrange_reduce(b1: IVec, b2: IVec) -> tuple[IVec, IVec, list[list[int]]]:
     return (ux, uy), (vx, vy), umat
 
 
-def closest_lattice_point(u: IVec, v: IVec, target: IVec) -> tuple[int, tuple[int, int]]:
-    """Exact closest-vector search in the lattice Z u + Z v.
-
-    The basis must be Lagrange-reduced (see ``lagrange_reduce``).  Returns
-    (min squared distance, (x, y)) with x u + y v the minimizer, the least
-    (x, y) among ties.  The cell of the target is found from its floor
-    numerators, and ``nearest_corner`` picks the corner.
-    """
-    (ux, uy), (vx, vy), (tx, ty) = u, v, target
-    guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
-    tu, tv = tx * ux + ty * uy, tx * vx + ty * vy
-    dist, x, y = nearest_corner(
-        ux, uy, vx, vy, guu * gvv - guv * guv, tx, ty, tu * gvv - tv * guv, guu * tv - guv * tu
-    )
-    return dist, (x, y)
-
-
 def nearest_corner(
     ux: int, uy: int, vx: int, vy: int, det: int, tx: int, ty: int, nx: int, ny: int
 ) -> tuple[int, int, int]:

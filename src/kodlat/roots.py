@@ -45,7 +45,7 @@ def positive_roots(curve: KodairaCurve) -> tuple[tuple[tuple[int, ...], int, int
     n = curve.n
     simple = [j for j in range(n) if j != curve.affine_node]
     out = [(tuple(int(t == j) for t in range(n)), None, j) for j in simple]
-    pairings = [curve.gram[j] for j in simple]  # <entry p, e_t> for every node t
+    pairings = [curve.add_gram_row([0] * n, j) for j in simple]  # <entry p, e_t> for every node t
     seen = {ranks for ranks, _, _ in out}
     for p, (a, _, _) in enumerate(out):
         pa = pairings[p]
@@ -55,7 +55,7 @@ def positive_roots(curve: KodairaCurve) -> tuple[tuple[tuple[int, ...], int, int
                 if b not in seen:
                     seen.add(b)
                     out.append((b, a, j))
-                    pairings.append(tuple(x + g for x, g in zip(pa, curve.gram[j])))
+                    pairings.append(curve.add_gram_row(pa.copy(), j))
     out.sort()  # the rank vectors are distinct, so no parent is compared
     where = {ranks: k for k, (ranks, _, _) in enumerate(out)}
     return tuple((ranks, where.get(parent, -1), j) for ranks, parent, j in out)
@@ -74,9 +74,8 @@ def decompose_root(curve: KodairaCurve, delta: KClass) -> RootDecomposition:
     check_dimension(curve, delta.ranks)
     if pair(curve, delta, delta) != -2:
         raise NotARoot(f"<v,v> = {pair(curve, delta, delta)}, expected -2")
-    rad = radical_basis(curve)
     m = delta.ranks[curve.affine_node]  # cycle has mark 1 at the affine node
-    w0 = KClass(0, tuple(r - m * c for r, c in zip(delta.ranks, rad.cycle.ranks)))
+    w0 = KClass(0, tuple(r - m * c for r, c in zip(delta.ranks, curve.marks)))
     return RootDecomposition(point_coeff=delta.chi, fundamental=w0, cycle_coeff=m)
 
 
@@ -96,11 +95,10 @@ def enumerate_roots_in_box(curve: KodairaCurve, bound: int) -> tuple[KClass, ...
     at the affine node is m, so the box holds exactly the translates with
     |m| <= bound that pass the rank filter.
     """
-    cycle = radical_basis(curve).cycle.ranks
     out = []
     for w0 in fundamental_roots(curve):
         for m in range(-bound, bound + 1):
-            ranks = tuple(r + m * c for r, c in zip(w0.ranks, cycle))
+            ranks = tuple(r + m * c for r, c in zip(w0.ranks, curve.marks))
             if all(abs(r) <= bound for r in ranks):
                 out.append(ranks)
     return tuple(KClass(0, v) for v in sorted(out))

@@ -77,8 +77,8 @@ def reflect_class(curve: KodairaCurve, i: int, k: int, v: KClass) -> KClass:
     check_index(curve, i)
     check_dimension(curve, v.ranks)
     delta = line_bundle_class(curve, i, k)
-    # <v, delta> depends on ranks only: their dot product with Gram row i
-    coeff = sum(g * r for g, r in zip(curve.gram[i - 1], v.ranks))
+    # <v, delta> depends on ranks only: Gram row i is -2 at i, 1 per neighbour
+    coeff = sum(v.ranks[j] for j in curve.neighbours[i - 1]) - 2 * v.ranks[i - 1]
     return v + delta.scale(coeff)
 
 
@@ -86,13 +86,14 @@ def reflect_scaled(
     curve: KodairaCurve, i: int, k: int, z0: tuple[int, int], zs: list[tuple[int, int]]
 ) -> None:
     """Z o s on integer (re, im) pairs over a common denominator, in place:
-    z0 is fixed and component j moves by gram[j][i] ((k+1) z0 + z_i), which
-    for normalized z0 = -1 is the familiar z_j + gram[j][i] (z_i - (k+1))."""
+    z0 is fixed and, with d = (k+1) z0 + z_i, z_i moves by -2d and each
+    neighbour of i by d, once per intersection point; for normalized
+    z0 = -1 this is the familiar z_j + gram[j][i] (z_i - (k+1))."""
     dx = (k + 1) * z0[0] + zs[i - 1][0]
     dy = (k + 1) * z0[1] + zs[i - 1][1]
-    for j, row in enumerate(curve.gram):
-        if row[i - 1]:
-            zs[j] = (zs[j][0] + row[i - 1] * dx, zs[j][1] + row[i - 1] * dy)
+    zs[i - 1] = (zs[i - 1][0] - 2 * dx, zs[i - 1][1] - 2 * dy)
+    for j in curve.neighbours[i - 1]:
+        zs[j] = (zs[j][0] + dx, zs[j][1] + dy)
 
 
 def dual_reflect_charge(

@@ -123,6 +123,50 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a reflection that moves z_i by +2d instead of -2d",
+        "src/kodlat/twist.py",
+        "zs[i - 1] = (zs[i - 1][0] - 2 * dx, zs[i - 1][1] - 2 * dy)",
+        "zs[i - 1] = (zs[i - 1][0] + 2 * dx, zs[i - 1][1] + 2 * dy)",
+        (
+            "tests/test_twist.py::TestDualReflectCharge::test_duality_with_class_action",
+            "tests/test_identity.py::test_digest_pinned[apply_word_charge]",
+            "tests/test_identity.py::test_digest_pinned[reduce_to_fundamental]",
+        ),
+    ),
+    Mutant(
+        "the pairing's diagonal read as -1",
+        "src/kodlat/kgroup.py",
+        "- 2 * wr[i])",
+        "- wr[i])",
+        (
+            "tests/test_kgroup.py::TestPairing::test_pinned_values",
+            "tests/test_neighbours.py::test_pair_and_reflection_match_the_dense_matrix",
+            "tests/test_neighbours.py::test_a_large_cycle_pairs_without_the_matrix",
+        ),
+    ),
+    Mutant(
+        "the class reflection's diagonal read as -1",
+        "src/kodlat/twist.py",
+        "- 2 * v.ranks[i - 1]",
+        "- v.ranks[i - 1]",
+        (
+            "tests/test_twist.py::TestDualReflectCharge::test_duality_with_class_action",
+            "tests/test_neighbours.py::test_pair_and_reflection_match_the_dense_matrix",
+            "tests/test_identity.py::test_digest_pinned[apply_word_class]",
+        ),
+    ),
+    Mutant(
+        "the kernel factor's diagonal 1 instead of 2",
+        "src/kodlat/charge.py",
+        "diag = [Fraction(2)] * len(free)",
+        "diag = [Fraction(1)] * len(free)",
+        (
+            "tests/test_charge.py::TestSupportForm::test_kernel_pivots_pinned",
+            "tests/test_charge.py::TestSupportForm::test_kernel_pivots_match_term_by_term_oracle",
+            "tests/test_identity.py::test_digest_pinned[support_form]",
+        ),
+    ),
+    Mutant(
         "S_aa(k) divided by Delta_k instead of Delta_{k-1}",
         "src/kodlat/charge.py",
         "saa = (d1 * saa + alpha * alpha) // d0",
@@ -215,8 +259,8 @@ MUTANTS = (
     Mutant(
         "a root's pairings updated with -<e_j, e_t>",
         "src/kodlat/roots.py",
-        "tuple(x + g for x, g in zip(pa, curve.gram[j]))",
-        "tuple(x - g for x, g in zip(pa, curve.gram[j]))",
+        "pairings.append(curve.add_gram_row(pa.copy(), j))",
+        "pairings.append([2 * x - y for x, y in zip(pa, curve.add_gram_row(pa.copy(), j))])",
         (
             "tests/test_acceptance.py::test_root_counts",
             "tests/test_roots.py::test_fundamental_root_counts[IStar_0-24]",
@@ -224,6 +268,16 @@ MUTANTS = (
         ),
     ),
     # the next two generate without end on large curves, so only small ones are named
+    Mutant(
+        "a Gram row added with +2 at its own node",
+        "src/kodlat/catalog.py",
+        "vec[i] -= 2",
+        "vec[i] += 2",
+        (
+            "tests/test_acceptance.py::test_root_counts",
+            "tests/test_roots.py::test_fundamental_root_counts[IStar_0-24]",
+        ),
+    ),
     Mutant(
         "a + e_j taken whenever <a, e_j> >= 0",
         "src/kodlat/roots.py",
@@ -300,6 +354,37 @@ MUTANTS = (
             "tests/test_catalog.py::test_least_parameters_accepted[mI-2-2]",
             "tests/test_catalog.py::test_least_parameters_accepted[IStar-0-None]",
             "tests/test_catalog.py::test_pinned_small_matrices",
+        ),
+    ),
+    Mutant(
+        "each edge listed at its first node only",
+        "src/kodlat/catalog.py",
+        "nbrs[j].append(i)",
+        "pass",
+        (
+            "tests/test_catalog.py::test_cartan_facts[I_2]",
+            "tests/test_neighbours.py::test_pinned_neighbour_lists",
+            "tests/test_cli_identity.py::test_cli_digest_pinned[catalog]",
+        ),
+    ),
+    Mutant(
+        "a non-integer curve parameter accepted",
+        "src/kodlat/catalog.py",
+        "isinstance(value, bool) or not isinstance(value, int)",
+        "False",
+        (
+            "tests/test_catalog.py::test_non_integer_parameters_rejected[bool-N]",
+            "tests/test_catalog.py::test_non_integer_parameters_rejected[float-m]",
+        ),
+    ),
+    Mutant(
+        "error codes not set from the class names",
+        "src/kodlat/errors.py",
+        "cls.code = cls.__name__",
+        "pass",
+        (
+            "tests/test_cli.py::test_error_codes_pinned",
+            "tests/test_cli_identity.py::test_cli_digest_pinned[catalog]",
         ),
     ),
     Mutant(

@@ -91,6 +91,22 @@ def test_invalid_params_message(family, N, m, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "family, N, m, message",
+    [
+        (Family.ISTAR, True, None, "curve parameters must be integers, got True"),
+        (Family.MI, 2, 2.5, "curve parameters must be integers, got 2.5"),
+        (Family.I, 2.5, None, "curve parameters must be integers, got 2.5"),
+    ],
+    ids=["bool-N", "float-m", "float-N"],
+)
+def test_non_integer_parameters_rejected(family, N, m, message):
+    """Booleans count as not integers, and a float is not compared with N's least value."""
+    with pytest.raises(InvalidParams) as info:
+        CurveId(family, N, m)
+    assert str(info.value) == message
+
+
 def test_parse_labels():
     assert parse_curve_id("I_2") == CurveId(Family.I, 2)
     assert parse_curve_id("I:2") == CurveId(Family.I, 2)

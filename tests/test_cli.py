@@ -20,6 +20,21 @@ TOO_LARGE = {
 }
 
 
+def test_error_codes_pinned():
+    """Each error's code is its class name; the CLI prints it in every error object."""
+    codes = [(cls.__name__, cls.code) for cls in kodlat.KodlatError.__subclasses__()]
+    assert kodlat.KodlatError.code == "Error"
+    assert sorted(codes) == [
+        (name, name)
+        for name in (
+            "CornerOnPath", "DegenerateCharge", "DegenerateRadical", "DimensionMismatch",
+            "EndpointOnWall", "IndexOutOfRange", "InvalidParams", "NotARoot", "NotGeneral",
+            "NotInP0", "NotPlusComponent", "OutputTooLarge", "ParseError",
+            "StepLimitExceeded", "VanishingRoot",
+        )
+    ]
+
+
 def run_cli(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr().out

@@ -8,8 +8,20 @@ from hypothesis import strategies as st
 
 from kodlat import OutputTooLarge, ParseError, QC, format_rational, parse_rational
 from kodlat.exact import clear_denominators, from_scaled
-from kodlat.ratlinalg import closest_lattice_point, lagrange_reduce, psd_pivots
+from kodlat.ratlinalg import lagrange_reduce, nearest_corner, psd_pivots
 from oracles import brute_closest, ldlt_psd, nullspace, rational_text
+
+
+def closest_lattice_point(u, v, target):
+    """(min squared distance, (x, y)) from ``nearest_corner``, with the
+    target's floor numerators computed here from the reduced basis u, v."""
+    (ux, uy), (vx, vy), (tx, ty) = u, v, target
+    guu, guv, gvv = ux * ux + uy * uy, ux * vx + uy * vy, vx * vx + vy * vy
+    tu, tv = tx * ux + ty * uy, tx * vx + ty * vy
+    dist, x, y = nearest_corner(
+        ux, uy, vx, vy, guu * gvv - guv * guv, tx, ty, tu * gvv - tv * guv, guu * tv - guv * tu
+    )
+    return dist, (x, y)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
