@@ -58,6 +58,10 @@ _PARAMETERS = {
 }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CurveId:
     """A curve family together with its parameters.
@@ -72,7 +76,7 @@ class CurveId:
 
     def __post_init__(self):
         for value in (self.N, self.m):
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is not None and not _is_int(value):
                 raise InvalidParams(f"curve parameters must be integers, got {value!r}")
         fam, least = self.family.value, dict(_PARAMETERS[self.family])
         if "N" not in least and self.N is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import Family, KodairaCurve
+from .catalog import Family, KodairaCurve, _is_int
 from .errors import DimensionMismatch, IndexOutOfRange, ParseError
 
 
@@ -46,10 +46,6 @@ class KClass:
         if not (_is_int(chi) and isinstance(ranks, (list, tuple)) and all(map(_is_int, ranks))):
             raise ParseError(f"class entries must be integers: {data!r}")
         return cls(chi, tuple(ranks))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _DIMENSION_MESSAGES = {

@@ -370,8 +370,8 @@ MUTANTS = (
     Mutant(
         "a non-integer curve parameter accepted",
         "src/kodlat/catalog.py",
-        "isinstance(value, bool) or not isinstance(value, int)",
-        "False",
+        "if value is not None and not _is_int(value):",
+        "if False:",
         (
             "tests/test_catalog.py::test_non_integer_parameters_rejected[bool-N]",
             "tests/test_catalog.py::test_non_integer_parameters_rejected[float-m]",
